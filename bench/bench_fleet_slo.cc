@@ -31,6 +31,7 @@
 #include "bench/bench_util.h"
 #include "core/config.h"
 #include "fleet/fleet.h"
+#include "sim/int_flag.h"
 #include "sim/json.h"
 
 namespace {
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
     } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
@@ -104,22 +106,23 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
       gate_pct = std::atof(arg + 11);
     } else if (std::strncmp(arg, "--hosts=", 8) == 0) {
-      hosts = std::atoi(arg + 8);
+      ok = nlh::sim::ParseIntFlag("--hosts", arg + 8, &hosts, 1);
     } else if (std::strncmp(arg, "--tenants=", 10) == 0) {
-      tenants = std::atoi(arg + 10);
+      ok = nlh::sim::ParseIntFlag("--tenants", arg + 10, &tenants, 1);
     } else if (std::strncmp(arg, "--horizon=", 10) == 0) {
-      horizon = std::atoi(arg + 10);
+      ok = nlh::sim::ParseIntFlag("--horizon", arg + 10, &horizon, 1);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
+      ok = nlh::sim::ParseIntFlag("--threads", arg + 10, &threads, 0);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
+      ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
+    }
+    if (!ok || std::strcmp(arg, "--help") == 0) {
       std::printf(
           "flags: --out=FILE --baseline=FILE --gate-pct=P --hosts=N "
           "--tenants=N --horizon=S --threads=N --seed=N --quick\n");
-      return 0;
+      return ok ? 0 : 2;
     }
   }
   // Full mode is the acceptance-scale fleet: 100 hosts x 10 tenants over

@@ -10,6 +10,7 @@
 
 #include "core/campaign.h"
 #include "core/target_system.h"
+#include "sim/int_flag.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -73,10 +74,15 @@ int main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(std::strlen("--out="));
     } else if (arg.rfind("--runs=", 0) == 0) {
-      runs = std::atoi(arg.c_str() + std::strlen("--runs="));
+      if (!sim::ParseIntFlag("--runs", arg.c_str() + std::strlen("--runs="),
+                             &runs, 1)) {
+        return 2;
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed0 = static_cast<std::uint64_t>(
-          std::atoll(arg.c_str() + std::strlen("--seed=")));
+      if (!sim::ParseIntFlag("--seed", arg.c_str() + std::strlen("--seed="),
+                             &seed0, 0)) {
+        return 2;
+      }
     } else {
       std::printf("unknown flag %s (see header comment)\n", arg.c_str());
       return 2;

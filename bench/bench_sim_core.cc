@@ -36,6 +36,7 @@
 #include "hv/hypervisor.h"
 #include "hw/platform.h"
 #include "sim/event_queue.h"
+#include "sim/int_flag.h"
 #include "sim/json.h"
 
 namespace {
@@ -317,6 +318,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
     } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
@@ -324,18 +326,19 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
       gate_pct = std::atof(arg + 11);
     } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-      runs = std::atoi(arg + 7);
+      ok = nlh::sim::ParseIntFlag("--runs", arg + 7, &runs, 1);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
+      ok = nlh::sim::ParseIntFlag("--threads", arg + 10, &threads, 0);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
+      ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
+    }
+    if (!ok || std::strcmp(arg, "--help") == 0) {
       std::printf(
           "flags: --out=FILE --baseline=FILE --gate-pct=P --runs=N "
           "--threads=N --seed=N --quick\n");
-      return 0;
+      return ok ? 0 : 2;
     }
   }
   if (runs == 0) runs = quick ? 8 : 48;

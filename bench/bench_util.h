@@ -7,6 +7,7 @@
 //   --full       use the paper's injection counts (Section VII-A)
 //   --threads=N  worker threads (default: all cores)
 //   --seed=N     base seed
+// A malformed integer value exits 2.
 #pragma once
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "core/campaign.h"
+#include "sim/int_flag.h"
 
 namespace nlh::bench {
 
@@ -28,18 +30,19 @@ struct BenchArgs {
     BenchArgs a;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
+      bool ok = true;
       if (std::strncmp(arg, "--runs=", 7) == 0) {
-        a.runs = std::atoi(arg + 7);
+        ok = sim::ParseIntFlag("--runs", arg + 7, &a.runs, 1);
       } else if (std::strcmp(arg, "--full") == 0) {
         a.full = true;
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        a.threads = std::atoi(arg + 10);
+        ok = sim::ParseIntFlag("--threads", arg + 10, &a.threads, 0);
       } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        a.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-      } else if (std::strcmp(arg, "--help") == 0) {
-        std::printf(
-            "flags: --runs=N --full --threads=N --seed=N\n");
-        std::exit(0);
+        ok = sim::ParseIntFlag("--seed", arg + 7, &a.seed, 0);
+      }
+      if (!ok || std::strcmp(arg, "--help") == 0) {
+        std::printf("flags: --runs=N --full --threads=N --seed=N\n");
+        std::exit(ok ? 0 : 2);
       }
     }
     return a;

@@ -9,14 +9,14 @@
 //                 [--runs=N] [--seed=N] [--verbose]
 //                 [--snapshot-period=MS] [--warm-fork]
 //
-// --mechanism accepts any slug in the mechanism registry
-// (recovery/registry.h; currently none, nilihype, rehype, snapres) and
-// rejects unknown slugs listing the registered ones. --mech= survives as
-// the older lenient spelling. --snapshot-period sets the snapres capture
-// cadence. --warm-fork switches the campaign to the warm-fork runner:
-// per-worker template systems advance through periodic full-system
-// snapshots and every injection run forks off the epoch preceding its
-// trigger — bit-identical results, large speedup on boot-dominated runs.
+// --mechanism accepts any slug in core::kMechanisms (core/config.h) and
+// rejects an unknown slug, listing the valid ones. Every integer flag takes
+// a plain decimal value; a malformed or out-of-range one exits 2.
+// --snapshot-period sets the snapres capture cadence. --warm-fork switches
+// the campaign to the warm-fork runner: per-worker template systems advance
+// through periodic full-system snapshots and every injection run forks off
+// the epoch preceding its trigger — bit-identical results, large speedup on
+// boot-dominated runs.
 //                 [--audit] [--audit-out=FILE.json]
 //                 [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //                 [--dossier-dir=DIR] [--replay=RUN_ID]
@@ -96,7 +96,6 @@
 //                    --fleet-out=FILE writes the FleetResult JSON.
 // --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -112,7 +111,7 @@
 #include "forensics/profiler.h"
 #include "fuzz/engine.h"
 #include "fuzz/shrinker.h"
-#include "recovery/registry.h"
+#include "sim/int_flag.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -141,8 +140,6 @@ void Usage() {
       "            [--integrity-out=FILE.json]\n"
       "            [--trace-out=FILE.json] [--metrics-out=FILE.json]\n"
       "            [--dossier-dir=DIR] [--profile-out=FILE.folded] [--verbose]\n"
-      "            (--mechanism accepts any registered slug; --mech=nilihype|\n"
-      "            rehype|none is the older, lenient spelling)\n"
       "  replay:   --replay=RUN_ID | --replay=REPRO.json\n"
       "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
       "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
@@ -152,30 +149,6 @@ void Usage() {
       "            [--placement=least-loaded|first-fit] [--fleet-out=FILE.json]\n"
       "  shrink:   --shrink=REPRO.json [--shrink-evals=N]\n"
       "see the header comment of examples/campaign_tool.cpp for details\n");
-}
-
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
-}
-
-// Strict digits-only positive-integer flag parse, shared by every numeric
-// flag: a trailing unit ("150ms") or a non-positive value is rejected,
-// never atoi()-truncated into a silently different config. Prints the
-// error; the caller prints Usage() and exits 2.
-bool ParsePositiveInt(const char* flag, const std::string& value,
-                      const char* what, int* out) {
-  const int n = AllDigits(value) ? std::atoi(value.c_str()) : 0;
-  if (n <= 0) {
-    std::printf("%s needs a positive %s, got '%s'\n", flag, what,
-                value.c_str());
-    return false;
-  }
-  *out = n;
-  return true;
 }
 
 void PrintVerdicts(const fuzz::OracleOutcome& o) {
@@ -264,17 +237,14 @@ int main(int argc, char** argv) {
     auto val = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
-    if (arg.rfind("--mech=", 0) == 0) {
-      const std::string m = val("--mech=");
-      cfg.mechanism = m == "rehype" ? core::Mechanism::kReHype
-                      : m == "none" ? core::Mechanism::kNone
-                                    : core::Mechanism::kNiLiHype;
-    } else if (arg.rfind("--mechanism=", 0) == 0) {
+    // Integer flags parse strictly; a malformed value clears `ok`.
+    bool ok = true;
+    if (arg.rfind("--mechanism=", 0) == 0) {
       const std::string slug = val("--mechanism=");
       if (!core::MechanismFromSlug(slug, &cfg.mechanism)) {
-        std::printf("unknown mechanism '%s'; registered:", slug.c_str());
-        for (const std::string& s : recovery::Registry::Instance().Slugs()) {
-          std::printf(" %s", s.c_str());
+        std::printf("unknown mechanism '%s'; valid:", slug.c_str());
+        for (const core::MechanismInfo& e : core::kMechanisms) {
+          std::printf(" %s", e.slug);
         }
         std::printf("\n");
         Usage();
@@ -282,11 +252,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--snapshot-period=", 0) == 0) {
       int ms = 0;
-      if (!ParsePositiveInt("--snapshot-period", val("--snapshot-period="),
-                            "millisecond count", &ms)) {
-        Usage();
-        return 2;
-      }
+      ok = sim::ParseIntFlag("--snapshot-period", val("--snapshot-period="),
+                             &ms, 1);
       cfg.snapshot_period = sim::Milliseconds(ms);
     } else if (arg == "--warm-fork") {
       opts.warm_fork = true;
@@ -319,20 +286,17 @@ int main(int argc, char** argv) {
               : b == "net" ? guest::BenchmarkKind::kNetBench
                            : guest::BenchmarkKind::kUnixBench;
     } else if (arg.rfind("--runs=", 0) == 0) {
-      opts.runs = std::atoi(val("--runs="));
+      ok = sim::ParseIntFlag("--runs", val("--runs="), &opts.runs, 1);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed0 = static_cast<std::uint64_t>(std::atoll(val("--seed=")));
+      ok = sim::ParseIntFlag("--seed", val("--seed="), &opts.seed0, 0);
     } else if (arg == "--privvm-recovery") {
       cfg.privvm_recovery = true;
     } else if (arg == "--privvm-plants" ||
                arg.rfind("--privvm-plants=", 0) == 0) {
       if (arg.rfind("--privvm-plants=", 0) == 0) {
         int us = 0;
-        if (!ParsePositiveInt("--privvm-plants", val("--privvm-plants="),
-                              "microsecond offset", &us)) {
-          Usage();
-          return 2;
-        }
+        ok = sim::ParseIntFlag("--privvm-plants", val("--privvm-plants="),
+                               &us, 1);
         privvm_plant_offset = sim::Microseconds(us);
       }
       privvm_plants = true;
@@ -346,12 +310,8 @@ int main(int argc, char** argv) {
       cfg.integrity = true;
     } else if (arg == "--proactive" || arg.rfind("--proactive=", 0) == 0) {
       if (arg.rfind("--proactive=", 0) == 0) {
-        if (!ParsePositiveInt("--proactive", val("--proactive="),
-                              "drift-event threshold",
-                              &cfg.proactive_threshold)) {
-          Usage();
-          return 2;
-        }
+        ok = sim::ParseIntFlag("--proactive", val("--proactive="),
+                               &cfg.proactive_threshold, 1);
       }
       cfg.proactive = true;
       cfg.integrity = true;  // rejuvenation consumes the monitor's drifts
@@ -365,50 +325,38 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--dossier-dir=", 0) == 0) {
       dossier_dir = val("--dossier-dir=");
     } else if (arg.rfind("--replay=", 0) == 0) {
+      // A run id, or else the path of a reproducer bundle.
       const std::string what = val("--replay=");
-      if (AllDigits(what)) {
-        replay_mode = true;
-        replay_id = static_cast<std::uint64_t>(std::atoll(what.c_str()));
-      } else {
-        replay_path = what;
-      }
+      replay_mode = sim::ParseInt(what, &replay_id, 0);
+      if (!replay_mode) replay_path = what;
     } else if (arg.rfind("--profile-out=", 0) == 0) {
       profile_out = val("--profile-out=");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      opts.threads = std::atoi(val("--threads="));
+      ok = sim::ParseIntFlag("--threads", val("--threads="), &opts.threads, 0);
     } else if (arg.rfind("--fuzz=", 0) == 0) {
-      fuzz_iterations = std::atoi(val("--fuzz="));
+      ok = sim::ParseIntFlag("--fuzz", val("--fuzz="), &fuzz_iterations, 1);
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      fuzz_seed = static_cast<std::uint64_t>(std::atoll(val("--fuzz-seed=")));
+      ok = sim::ParseIntFlag("--fuzz-seed", val("--fuzz-seed="), &fuzz_seed, 0);
     } else if (arg.rfind("--corpus=", 0) == 0) {
       corpus_dir = val("--corpus=");
     } else if (arg.rfind("--shrink=", 0) == 0) {
       shrink_path = val("--shrink=");
     } else if (arg.rfind("--shrink-evals=", 0) == 0) {
-      shrink_evals = std::atoi(val("--shrink-evals="));
+      ok = sim::ParseIntFlag("--shrink-evals", val("--shrink-evals="),
+                             &shrink_evals, 0);
     } else if (arg.rfind("--max-corpus=", 0) == 0) {
-      max_corpus = std::atoi(val("--max-corpus="));
+      ok = sim::ParseIntFlag("--max-corpus", val("--max-corpus="),
+                             &max_corpus, 0);
     } else if (arg == "--fleet") {
       fleet_mode = true;
     } else if (arg.rfind("--hosts=", 0) == 0) {
-      if (!ParsePositiveInt("--hosts", val("--hosts="), "host count",
-                            &fleet_cfg.hosts)) {
-        Usage();
-        return 2;
-      }
+      ok = sim::ParseIntFlag("--hosts", val("--hosts="), &fleet_cfg.hosts, 1);
     } else if (arg.rfind("--tenants=", 0) == 0) {
-      if (!ParsePositiveInt("--tenants", val("--tenants="),
-                            "tenants-per-host count",
-                            &fleet_cfg.tenants_per_host)) {
-        Usage();
-        return 2;
-      }
+      ok = sim::ParseIntFlag("--tenants", val("--tenants="),
+                             &fleet_cfg.tenants_per_host, 1);
     } else if (arg.rfind("--fleet-horizon=", 0) == 0) {
-      if (!ParsePositiveInt("--fleet-horizon", val("--fleet-horizon="),
-                            "second count", &fleet_cfg.horizon_s)) {
-        Usage();
-        return 2;
-      }
+      ok = sim::ParseIntFlag("--fleet-horizon", val("--fleet-horizon="),
+                             &fleet_cfg.horizon_s, 1);
     } else if (arg.rfind("--placement=", 0) == 0) {
       const std::string slug = val("--placement=");
       if (!fleet::PlacementPolicyFromSlug(slug, &fleet_cfg.placement)) {
@@ -424,6 +372,9 @@ int main(int argc, char** argv) {
       verbose = true;
     } else {
       std::printf("unknown flag %s\n", arg.c_str());
+      ok = false;
+    }
+    if (!ok) {
       Usage();
       return 2;
     }

@@ -23,20 +23,52 @@
 
 namespace nlh::core {
 
-// Thin compat alias over the mechanism registry (recovery/registry.h):
-// construction, display names and slug parsing all go through the registry;
-// the enum survives so existing configs, switch-based analysis code and
-// committed JSON artifacts (which carry MechanismName strings) are
-// untouched. Values map 1:1 onto registered slugs.
+// The recovery mechanism under test. kNone is the no-recovery baseline:
+// detection marks the system dead.
 enum class Mechanism { kNone, kNiLiHype, kReHype, kSnapRes };
-// Display name ("NiLiHype") — the registry's display string, byte-for-byte
-// the historical enum name.
-const char* MechanismName(Mechanism m);
-// Stable registry slug ("nilihype").
-const char* MechanismSlug(Mechanism m);
-// Parses a registry slug; returns false (and leaves *out alone) when the
-// slug names no enum-mapped mechanism.
-bool MechanismFromSlug(const std::string& slug, Mechanism* out);
+
+// The one list of mechanisms, in the order tools list them. The slug is
+// the enum's text form (`--mechanism=<slug>`, fleet JSON); the display name
+// is what committed corpus bundles, dossiers and BENCH_*.json carry. Both
+// are load-bearing: changing one breaks those artifacts.
+struct MechanismInfo {
+  Mechanism mechanism;
+  const char* slug;
+  const char* name;
+};
+inline constexpr MechanismInfo kMechanisms[] = {
+    {Mechanism::kNone, "none", "None"},
+    {Mechanism::kNiLiHype, "nilihype", "NiLiHype"},
+    {Mechanism::kReHype, "rehype", "ReHype"},
+    {Mechanism::kSnapRes, "snapres", "SnapRes"},
+};
+
+// Display name ("NiLiHype").
+inline const char* MechanismName(Mechanism m) {
+  for (const MechanismInfo& e : kMechanisms) {
+    if (e.mechanism == m) return e.name;
+  }
+  return "?";
+}
+
+// Slug ("nilihype").
+inline const char* MechanismSlug(Mechanism m) {
+  for (const MechanismInfo& e : kMechanisms) {
+    if (e.mechanism == m) return e.slug;
+  }
+  return "?";
+}
+
+// Parses a slug; returns false (and leaves *out alone) for an unknown one.
+inline bool MechanismFromSlug(const std::string& slug, Mechanism* out) {
+  for (const MechanismInfo& e : kMechanisms) {
+    if (slug == e.slug) {
+      *out = e.mechanism;
+      return true;
+    }
+  }
+  return false;
+}
 
 enum class Setup {
   k1AppVM,  // PrivVM + one AppVM (Section VI-A)

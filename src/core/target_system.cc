@@ -3,38 +3,11 @@
 #include <algorithm>
 
 #include "audit/state_auditor.h"
-#include "recovery/registry.h"
+#include "recovery/nilihype.h"
+#include "recovery/rehype.h"
+#include "recovery/snapres.h"
 
 namespace nlh::core {
-
-const char* MechanismSlug(Mechanism m) {
-  switch (m) {
-    case Mechanism::kNone: return "none";
-    case Mechanism::kNiLiHype: return "nilihype";
-    case Mechanism::kReHype: return "rehype";
-    case Mechanism::kSnapRes: return "snapres";
-  }
-  return "?";
-}
-
-const char* MechanismName(Mechanism m) {
-  // Display names live in the registry; the committed JSON artifacts carry
-  // these strings, so they are byte-identical to the historical enum names.
-  const char* name =
-      recovery::Registry::Instance().DisplayName(MechanismSlug(m));
-  return name != nullptr ? name : "?";
-}
-
-bool MechanismFromSlug(const std::string& slug, Mechanism* out) {
-  for (Mechanism m : {Mechanism::kNone, Mechanism::kNiLiHype,
-                      Mechanism::kReHype, Mechanism::kSnapRes}) {
-    if (slug == MechanismSlug(m)) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
 
 const char* OutcomeClassName(OutcomeClass c) {
   switch (c) {
@@ -74,13 +47,24 @@ void TargetSystem::Build() {
   // Detection + recovery.
   hang_ = std::make_unique<detect::HangDetector>(*hv_);
   hang_->Install();
-  recovery::MechanismParams mech_params;
-  mech_params.enhancements = config_.enhancements;
-  mech_params.latency_model = config_.latency_model;
-  mech_params.snapshot_period = config_.snapshot_period;
-  std::unique_ptr<recovery::RecoveryMechanism> mech =
-      recovery::Registry::Instance().Build(MechanismSlug(config_.mechanism),
-                                           *hv_, mech_params);
+  std::unique_ptr<recovery::RecoveryMechanism> mech;
+  switch (config_.mechanism) {
+    case Mechanism::kNone:
+      break;
+    case Mechanism::kNiLiHype:
+      mech = std::make_unique<recovery::NiLiHype>(
+          *hv_, config_.enhancements, config_.latency_model);
+      break;
+    case Mechanism::kReHype:
+      mech = std::make_unique<recovery::ReHype>(*hv_, config_.enhancements,
+                                                config_.latency_model);
+      break;
+    case Mechanism::kSnapRes:
+      mech = std::make_unique<recovery::SnapRes>(
+          *hv_, config_.enhancements, config_.latency_model,
+          config_.snapshot_period);
+      break;
+  }
   manager_ = std::make_unique<recovery::RecoveryManager>(*hv_, std::move(mech),
                                                          hang_.get());
   manager_->Install();

@@ -131,7 +131,7 @@ struct FleetResult {
   int tenants = 0;
   int horizon_s = 0;
   std::uint64_t master_seed = 0;
-  std::string mechanism;   // registry slug
+  std::string mechanism;   // mechanism slug
   std::string placement;   // placement-policy slug
 
   // Fault events and their per-run outcomes.

@@ -102,19 +102,12 @@ bool LoadReproducer(const std::string& path, LoadedReproducer* out,
     // Recover the policy from the verdict's mechanism display name so the
     // replay runs the exact list the bundle was shrunk against.
     const sim::JsonValue* mech = v.Find("mechanism");
-    bool known = false;
-    if (mech != nullptr) {
-      for (core::Mechanism m :
-           {core::Mechanism::kNone, core::Mechanism::kNiLiHype,
-            core::Mechanism::kReHype, core::Mechanism::kSnapRes}) {
-        if (mech->str == core::MechanismName(m)) {
-          rep.policies.push_back(m);
-          known = true;
-          break;
-        }
-      }
+    const core::MechanismInfo* known = nullptr;
+    for (const core::MechanismInfo& e : core::kMechanisms) {
+      if (mech != nullptr && mech->str == e.name) known = &e;
     }
-    if (!known) return fail("unknown verdict mechanism: " + path);
+    if (known == nullptr) return fail("unknown verdict mechanism: " + path);
+    rep.policies.push_back(known->mechanism);
     rep.expected_verdicts.push_back(sim::WriteJson(v));
   }
   *out = std::move(rep);

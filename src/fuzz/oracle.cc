@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "hv/failure.h"
-#include "recovery/registry.h"
 
 namespace nlh::fuzz {
 
@@ -158,13 +157,10 @@ std::vector<core::Mechanism> DefaultPolicies() {
 }
 
 std::vector<core::Mechanism> RegisteredPolicies() {
-  // Recovery mechanisms in registry order, the no-recovery baseline last.
+  // Recovery mechanisms in table order, the no-recovery baseline last.
   std::vector<core::Mechanism> out;
-  for (const std::string& slug : recovery::Registry::Instance().Slugs()) {
-    core::Mechanism m = core::Mechanism::kNone;
-    if (core::MechanismFromSlug(slug, &m) && m != core::Mechanism::kNone) {
-      out.push_back(m);
-    }
+  for (const core::MechanismInfo& e : core::kMechanisms) {
+    if (e.mechanism != core::Mechanism::kNone) out.push_back(e.mechanism);
   }
   out.push_back(core::Mechanism::kNone);
   return out;

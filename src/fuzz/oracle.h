@@ -9,8 +9,8 @@
 // mechanism vector and defaults to DefaultPolicies(), which preserves the
 // historical NiLiHype/ReHype/baseline triple byte-for-byte (the committed
 // corpus reproducers were shrunk against it). RegisteredPolicies() expands
-// the comparison to every mechanism in the registry — snapres rides along
-// as the fourth variant.
+// the comparison to every mechanism in core::kMechanisms — snapres rides
+// along as the fourth variant.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +34,9 @@ inline constexpr core::Mechanism kPolicies[kNumPolicies] = {
 
 // {kNiLiHype, kReHype, kNone} — kPolicies as a runtime list.
 std::vector<core::Mechanism> DefaultPolicies();
-// Every enum-mapped mechanism in the registry, recovery mechanisms in
-// registration order with the baseline last: {kNiLiHype, kReHype,
-// kSnapRes, kNone}.
+// Every mechanism in core::kMechanisms, recovery mechanisms in table order
+// with the baseline last: {kNiLiHype, kReHype, kSnapRes, kNone}. The order
+// feeds the fuzzer's coverage signature.
 std::vector<core::Mechanism> RegisteredPolicies();
 
 enum class DivergenceKind {

@@ -2,37 +2,13 @@
 
 namespace nlh::recovery {
 
-RecoveryReport NiLiHype::Recover(const hv::DetectionEvent& event) {
-  RecoveryReport report;
-  report.detected_at = hv_.Now();
-  report.kind = event.kind;
-
-  sim::Tracer& tracer = hv_.tracer();
-  const std::uint32_t root =
-      tracer.Begin("recover:NiLiHype", event.cpu, report.detected_at);
-  steps::StepRecorder rec(hv_, report, event.cpu);
-
-  // The recovery routine itself depends on hypervisor state (IDT entries,
-  // the recovery handler's own data); if the fault corrupted that state the
-  // routine never gets to run (Section VII-A failure reason 1).
-  if (!hv_.recovery_path_ok()) {
-    report.gave_up = true;
-    report.give_up_code = hv::FailureReason::kRecoveryPathCorrupted;
-    report.give_up_reason = "recovery routine could not be invoked";
-    hv_.MarkDead(report.give_up_code, report.give_up_reason);
-    tracer.End(root, report.detected_at);
-    return report;
-  }
-
+bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
+                      steps::StepRecorder& rec) {
   // 1. Freeze: disable interrupts on this CPU, IPI all others (their entry
   //    increments the interrupt nesting count), park them in busy waits.
-  hv_.FreezeForRecovery(event.cpu);
+  hv_.FreezeForRecovery(cpu);
   rec.Add(RecoveryPhase::kFreeze, "freeze CPUs (IPIs, disable interrupts)",
           model_.freeze);
-
-  // Capture who was running before any repair touches the metadata.
-  const std::vector<hv::VcpuId> running = steps::RunningVcpus(hv_);
-  if (enh_.save_fs_gs) steps::SaveFsGs(hv_, running);
 
   // 2. Microreset core: discard every execution thread.
   hv_.DiscardAllHvStacks();
@@ -91,7 +67,7 @@ RecoveryReport NiLiHype::Recover(const hv::DetectionEvent& event) {
   //    APIC one-shot that fires before this point is consumed; one firing
   //    later stays latched and is redelivered at resume.
   if (enh_.ack_interrupts) {
-    hv_.platform().queue().ScheduleAt(report.detected_at + model_.ack_delay,
+    hv_.platform().queue().ScheduleAt(detected_at + model_.ack_delay,
                                       [this] { hv_.AckAllInterrupts(); });
     rec.Add(RecoveryPhase::kAckInterrupts,
             "acknowledge pending/in-service interrupts",
@@ -104,20 +80,7 @@ RecoveryReport NiLiHype::Recover(const hv::DetectionEvent& event) {
   }
   rec.Add(RecoveryPhase::kResume, "resume (exit busy waits)",
           model_.nl_resume);
-
-  // 5. Resume at detection + total latency.
-  report.resumed_at = report.detected_at + report.total();
-  tracer.End(root, report.resumed_at);
-  hv_.metrics()
-      .GetHistogram("recovery.total_ms")
-      .Observe(sim::ToMillisF(report.total()));
-  hv_.ResumeAfterRecovery(report.resumed_at, enh_.reprogram_apic);
-  hv_.platform().queue().ScheduleAt(
-      report.resumed_at, [this, running] {
-        steps::NotifyGuestsAfterResume(hv_, running);
-        if (resume_hook_) resume_hook_();
-      });
-  return report;
+  return enh_.reprogram_apic;
 }
 
 }  // namespace nlh::recovery

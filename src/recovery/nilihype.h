@@ -7,34 +7,19 @@
 // the page-frame descriptor consistency scan (Table III: 21 of 22 ms).
 #pragma once
 
-#include <functional>
-
 #include "recovery/recovery_common.h"
 
 namespace nlh::recovery {
 
 class NiLiHype : public RecoveryMechanism {
  public:
-  NiLiHype(hv::Hypervisor& hv, const EnhancementSet& enh,
-           const LatencyModel& model = LatencyModel{})
-      : hv_(hv), enh_(enh), model_(model) {}
+  using RecoveryMechanism::RecoveryMechanism;
 
   std::string Name() const override { return "NiLiHype"; }
 
-  RecoveryReport Recover(const hv::DetectionEvent& event) override;
-  using RecoveryMechanism::Recover;
-
-  // Invoked (from an event) right after the system resumes; the manager
-  // uses it to reset the hang detector.
-  void SetResumeHook(std::function<void()> hook) { resume_hook_ = std::move(hook); }
-
-  const EnhancementSet& enhancements() const { return enh_; }
-
  private:
-  hv::Hypervisor& hv_;
-  EnhancementSet enh_;
-  LatencyModel model_;
-  std::function<void()> resume_hook_;
+  bool Repair(hw::CpuId cpu, sim::Time detected_at,
+              steps::StepRecorder& rec) override;
 };
 
 }  // namespace nlh::recovery

@@ -17,7 +17,7 @@
 // The repair is evidence-driven: a lost request whose grant shows a
 // completed transfer is answered directly (the data already moved); one
 // with no transfer is re-queued for the rebuilt backend to execute. It
-// composes with any registered hypervisor mechanism — the core layer runs
+// composes with any hypervisor mechanism — the core layer runs
 // it after the mechanism's resume point for correlated failures, or alone
 // for PrivVM-only failures.
 #pragma once

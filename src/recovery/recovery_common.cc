@@ -36,6 +36,48 @@ const char* RecoveryPhaseName(RecoveryPhase p) {
   return "?";
 }
 
+RecoveryReport RecoveryMechanism::Recover(const hv::DetectionEvent& event) {
+  RecoveryReport report;
+  report.detected_at = hv_.Now();
+  report.kind = event.kind;
+
+  sim::Tracer& tracer = hv_.tracer();
+  const std::uint32_t root =
+      tracer.Begin("recover:" + Name(), event.cpu, report.detected_at);
+  steps::StepRecorder rec(hv_, report, event.cpu);
+
+  // The recovery routine itself depends on hypervisor state (IDT entries,
+  // the recovery handler's own data); if the fault corrupted that state the
+  // routine never gets to run (Section VII-A failure reason 1).
+  if (!hv_.recovery_path_ok()) {
+    report.gave_up = true;
+    report.give_up_code = hv::FailureReason::kRecoveryPathCorrupted;
+    report.give_up_reason = "recovery routine could not be invoked";
+    hv_.MarkDead(report.give_up_code, report.give_up_reason);
+    tracer.End(root, report.detected_at);
+    return report;
+  }
+
+  // Who was running at detection, read before any repair touches
+  // percpu.curr.
+  const std::vector<hv::VcpuId> running = steps::RunningVcpus(hv_);
+  if (enh_.save_fs_gs) steps::SaveFsGs(hv_, running);
+
+  const bool reprogram_apics = Repair(event.cpu, report.detected_at, rec);
+
+  // Resume at detection + total latency.
+  report.resumed_at = report.detected_at + report.total();
+  tracer.End(root, report.resumed_at);
+  hv_.metrics()
+      .GetHistogram("recovery.total_ms")
+      .Observe(sim::ToMillisF(report.total()));
+  hv_.ResumeAfterRecovery(report.resumed_at, reprogram_apics);
+  hv_.platform().queue().ScheduleAt(report.resumed_at, [this, running] {
+    steps::NotifyGuestsAfterResume(hv_, running);
+  });
+  return report;
+}
+
 }  // namespace nlh::recovery
 
 namespace nlh::recovery::steps {

@@ -1,6 +1,6 @@
-// Building blocks shared by the ReHype and NiLiHype mechanisms, plus the
-// RecoveryMechanism interface and the report structure the latency benches
-// (Tables II and III) print.
+// Building blocks shared by the NiLiHype, ReHype and SnapRes mechanisms,
+// the RecoveryMechanism base that holds their common Recover frame, and the
+// report structure the latency benches (Tables II and III) print.
 #pragma once
 
 #include <string>
@@ -82,14 +82,28 @@ struct RecoveryReport {
   }
 };
 
+namespace steps {
+class StepRecorder;
+}  // namespace steps
+
+// A recovery mechanism is its repair steps inside one shared frame: every
+// mechanism reports, traces, gives up on a corrupted recovery path and
+// resumes the system the same way (Recover), and differs only in Repair.
 class RecoveryMechanism {
  public:
+  RecoveryMechanism(hv::Hypervisor& hv, const EnhancementSet& enh,
+                    const LatencyModel& model = LatencyModel{})
+      : hv_(hv), enh_(enh), model_(model) {}
+  // Recover schedules callbacks that hold `this`.
+  RecoveryMechanism(const RecoveryMechanism&) = delete;
+  RecoveryMechanism& operator=(const RecoveryMechanism&) = delete;
   virtual ~RecoveryMechanism() = default;
+
   virtual std::string Name() const = 0;
   // Performs recovery for the detected error described by `event`. Runs
   // synchronously at detection time; schedules the system resume at
   // detection + total latency. Returns the report.
-  virtual RecoveryReport Recover(const hv::DetectionEvent& event) = 0;
+  RecoveryReport Recover(const hv::DetectionEvent& event);
 
   // Mechanism-internal mutable state, for whole-system fork images (the
   // warm-fork campaign runner): a mechanism that carries state across the
@@ -108,6 +122,17 @@ class RecoveryMechanism {
                   : hv::FailureCode::kWatchdogStall;
     return Recover(ev);
   }
+
+ protected:
+  // The mechanism's own steps, from the freeze up to the resume, each
+  // recorded through `rec`. Runs only when the recovery path is intact.
+  // Returns whether the resume reprograms the APIC timers.
+  virtual bool Repair(hw::CpuId cpu, sim::Time detected_at,
+                      steps::StepRecorder& rec) = 0;
+
+  hv::Hypervisor& hv_;
+  EnhancementSet enh_;
+  LatencyModel model_;
 };
 
 namespace steps {

@@ -2,35 +2,16 @@
 
 namespace nlh::recovery {
 
-RecoveryReport ReHype::Recover(const hv::DetectionEvent& event) {
-  RecoveryReport report;
-  report.detected_at = hv_.Now();
-  report.kind = event.kind;
+bool ReHype::Repair(hw::CpuId cpu, sim::Time /*detected_at*/,
+                    steps::StepRecorder& rec) {
   const std::uint64_t mem_frames = hv_.platform().memory().num_frames();
 
-  sim::Tracer& tracer = hv_.tracer();
-  const std::uint32_t root =
-      tracer.Begin("recover:ReHype", event.cpu, report.detected_at);
-  steps::StepRecorder rec(hv_, report, event.cpu);
-
-  if (!hv_.recovery_path_ok()) {
-    report.gave_up = true;
-    report.give_up_code = hv::FailureReason::kRecoveryPathCorrupted;
-    report.give_up_reason = "recovery routine could not be invoked";
-    hv_.MarkDead(report.give_up_code, report.give_up_reason);
-    tracer.End(root, report.detected_at);
-    return report;
-  }
-
   // 1. Freeze; all CPUs except the recovering one halt until SMP re-init.
-  hv_.FreezeForRecovery(event.cpu);
+  hv_.FreezeForRecovery(cpu);
   for (int c = 0; c < hv_.platform().num_cpus(); ++c) {
-    if (c != event.cpu) hv_.platform().cpu(c).set_halted(true);
+    if (c != cpu) hv_.platform().cpu(c).set_halted(true);
   }
   rec.Add(RecoveryPhase::kFreeze, "freeze and halt other CPUs", model_.freeze);
-
-  const std::vector<hv::VcpuId> running = steps::RunningVcpus(hv_);
-  if (enh_.save_fs_gs) steps::SaveFsGs(hv_, running);
 
   // The reboot gives every CPU a fresh hypervisor stack; any spinning
   // execution thread is gone with the old instance.
@@ -86,13 +67,7 @@ RecoveryReport ReHype::Recover(const hv::DetectionEvent& event) {
   hv::RepairSchedMetadata(hv_.percpu(), hv_.vcpus());
   hv_.RebuildTimerSubsystem();
   hv_.AckAllInterrupts();
-
-  if (enh_.hypercall_retry || enh_.syscall_retry) {
-    const steps::RetrySetupStats st = steps::SetupRequestRetries(hv_, enh_);
-    (void)st;
-  } else {
-    steps::SetupRequestRetries(hv_, enh_);
-  }
+  steps::SetupRequestRetries(hv_, enh_);
 
   // --- Misc (Table II: 35 ms) ------------------------------------------------
   rec.Add(RecoveryPhase::kSmpInit, "SMP initialization", model_.rh_smp_init);
@@ -104,18 +79,7 @@ RecoveryReport ReHype::Recover(const hv::DetectionEvent& event) {
           model_.rh_misc_others);
 
   // 3. Resume: the boot reprogrammed every APIC timer.
-  report.resumed_at = report.detected_at + report.total();
-  tracer.End(root, report.resumed_at);
-  hv_.metrics()
-      .GetHistogram("recovery.total_ms")
-      .Observe(sim::ToMillisF(report.total()));
-  hv_.ResumeAfterRecovery(report.resumed_at, /*reprogram_apics=*/true);
-  hv_.platform().queue().ScheduleAt(
-      report.resumed_at, [this, running] {
-        steps::NotifyGuestsAfterResume(hv_, running);
-        if (resume_hook_) resume_hook_();
-      });
-  return report;
+  return true;
 }
 
 }  // namespace nlh::recovery

@@ -10,32 +10,19 @@
 // fault types (Figure 2) and of its 713 ms latency (Table II).
 #pragma once
 
-#include <functional>
-
 #include "recovery/recovery_common.h"
 
 namespace nlh::recovery {
 
 class ReHype : public RecoveryMechanism {
  public:
-  ReHype(hv::Hypervisor& hv, const EnhancementSet& enh,
-         const LatencyModel& model = LatencyModel{})
-      : hv_(hv), enh_(enh), model_(model) {}
+  using RecoveryMechanism::RecoveryMechanism;
 
   std::string Name() const override { return "ReHype"; }
 
-  RecoveryReport Recover(const hv::DetectionEvent& event) override;
-  using RecoveryMechanism::Recover;
-
-  void SetResumeHook(std::function<void()> hook) { resume_hook_ = std::move(hook); }
-
-  const EnhancementSet& enhancements() const { return enh_; }
-
  private:
-  hv::Hypervisor& hv_;
-  EnhancementSet enh_;
-  LatencyModel model_;
-  std::function<void()> resume_hook_;
+  bool Repair(hw::CpuId cpu, sim::Time detected_at,
+              steps::StepRecorder& rec) override;
 };
 
 }  // namespace nlh::recovery

@@ -1,14 +1,12 @@
 #include "recovery/snapres.h"
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace nlh::recovery {
 
 SnapRes::SnapRes(hv::Hypervisor& hv, const EnhancementSet& enh,
                  const LatencyModel& model, sim::Duration period)
-    : hv_(hv), enh_(enh), model_(model), period_(period) {
+    : RecoveryMechanism(hv, enh, model), period_(period) {
   Capture();
   ScheduleNextCapture();
 }
@@ -51,37 +49,14 @@ void SnapRes::ScheduleNextCapture() {
   });
 }
 
-RecoveryReport SnapRes::Recover(const hv::DetectionEvent& event) {
-  RecoveryReport report;
-  report.detected_at = hv_.Now();
-  report.kind = event.kind;
-
-  sim::Tracer& tracer = hv_.tracer();
-  const std::uint32_t root =
-      tracer.Begin("recover:SnapRes", event.cpu, report.detected_at);
-  steps::StepRecorder rec(hv_, report, event.cpu);
-
-  // Same precondition as every mechanism: if the fault corrupted the
-  // recovery path itself, the routine never runs (Section VII-A reason 1).
-  if (!hv_.recovery_path_ok()) {
-    report.gave_up = true;
-    report.give_up_code = hv::FailureReason::kRecoveryPathCorrupted;
-    report.give_up_reason = "recovery routine could not be invoked";
-    hv_.MarkDead(report.give_up_code, report.give_up_reason);
-    tracer.End(root, report.detected_at);
-    return report;
-  }
-
+bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
+                     steps::StepRecorder& rec) {
   const std::uint64_t frames = hv_.platform().memory().num_frames();
 
   // 1. Freeze, exactly as NiLiHype: IPI all CPUs, park them in busy waits.
-  hv_.FreezeForRecovery(event.cpu);
+  hv_.FreezeForRecovery(cpu);
   rec.Add(RecoveryPhase::kFreeze, "freeze CPUs (IPIs, disable interrupts)",
           model_.freeze);
-
-  // Who was running, read before the rollback clobbers percpu.curr.
-  const std::vector<hv::VcpuId> running = steps::RunningVcpus(hv_);
-  if (enh_.save_fs_gs) steps::SaveFsGs(hv_, running);
 
   // 2. Discard every hypervisor execution thread (microreset core).
   hv_.DiscardAllHvStacks();
@@ -100,8 +75,7 @@ RecoveryReport SnapRes::Recover(const hv::DetectionEvent& event) {
   hv_.VisitControlState(loader);
   rec.Add(RecoveryPhase::kRollback,
           "roll back control state to snapshot (age " +
-              std::to_string(sim::ToMillisF(report.detected_at -
-                                            captured_at_)) +
+              std::to_string(sim::ToMillisF(detected_at - captured_at_)) +
               " ms)",
           model_.PerFrame(model_.sr_rollback_ns_per_frame, frames));
 
@@ -146,7 +120,7 @@ RecoveryReport SnapRes::Recover(const hv::DetectionEvent& event) {
   // 5. Ack pending/in-service interrupts shortly after the freeze, then
   //    reprogram the APICs from the rolled-back (now reconciled) timer
   //    state — both intrinsic to the mechanism, not enhancement-gated.
-  hv_.platform().queue().ScheduleAt(report.detected_at + model_.ack_delay,
+  hv_.platform().queue().ScheduleAt(detected_at + model_.ack_delay,
                                     [this] { hv_.AckAllInterrupts(); });
   rec.Add(RecoveryPhase::kAckInterrupts,
           "acknowledge pending/in-service interrupts", sim::Microseconds(20));
@@ -154,19 +128,7 @@ RecoveryReport SnapRes::Recover(const hv::DetectionEvent& event) {
           model_.nl_reprogram);
   rec.Add(RecoveryPhase::kResume, "resume (exit busy waits)",
           model_.nl_resume);
-
-  // 6. Resume at detection + total latency.
-  report.resumed_at = report.detected_at + report.total();
-  tracer.End(root, report.resumed_at);
-  hv_.metrics()
-      .GetHistogram("recovery.total_ms")
-      .Observe(sim::ToMillisF(report.total()));
-  hv_.ResumeAfterRecovery(report.resumed_at, /*reprogram_apics=*/true);
-  hv_.platform().queue().ScheduleAt(report.resumed_at, [this, running] {
-    steps::NotifyGuestsAfterResume(hv_, running);
-    if (resume_hook_) resume_hook_();
-  });
-  return report;
+  return true;
 }
 
 }  // namespace nlh::recovery

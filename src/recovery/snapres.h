@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "recovery/recovery_common.h"
 #include "sim/state_image.h"
@@ -40,13 +39,6 @@ class SnapRes : public RecoveryMechanism {
 
   std::string Name() const override { return "SnapRes"; }
 
-  RecoveryReport Recover(const hv::DetectionEvent& event) override;
-  using RecoveryMechanism::Recover;
-
-  void SetResumeHook(std::function<void()> hook) {
-    resume_hook_ = std::move(hook);
-  }
-
   // Captures a fresh snapshot now (outside the periodic chain). Tests use
   // this to pin the rollback target before mutating state.
   void CaptureNow() { Capture(); }
@@ -54,7 +46,6 @@ class SnapRes : public RecoveryMechanism {
   std::uint64_t captures() const { return captures_; }
   sim::Time captured_at() const { return captured_at_; }
   sim::Duration period() const { return period_; }
-  const EnhancementSet& enhancements() const { return enh_; }
 
   // The snapshot is run state: a warm-forked run must not roll back to a
   // snapshot another run captured.
@@ -70,17 +61,15 @@ class SnapRes : public RecoveryMechanism {
   }
 
  private:
+  bool Repair(hw::CpuId cpu, sim::Time detected_at,
+              steps::StepRecorder& rec) override;
   void Capture();
   void ScheduleNextCapture();
 
-  hv::Hypervisor& hv_;
-  EnhancementSet enh_;
-  LatencyModel model_;
   sim::Duration period_;
   sim::StateImage snapshot_;
   sim::Time captured_at_ = 0;
   std::uint64_t captures_ = 0;
-  std::function<void()> resume_hook_;
 };
 
 }  // namespace nlh::recovery

@@ -58,15 +58,40 @@ TEST(CampaignToolCli, UnreadableShrinkPathExitsNonzeroWithUsage) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
-TEST(CampaignToolCli, UnknownMechanismSlugExitsNonzeroListingRegistered) {
+TEST(CampaignToolCli, UnknownMechanismSlugExitsNonzeroListingValid) {
   const CliResult r = RunTool("--mechanism=reboot-everything");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown mechanism 'reboot-everything'"),
             std::string::npos);
-  // The error names every registered slug so the fix is copy-pasteable.
+  // The error names every valid slug so the fix is copy-pasteable.
   EXPECT_NE(r.output.find("nilihype"), std::string::npos);
   EXPECT_NE(r.output.find("rehype"), std::string::npos);
   EXPECT_NE(r.output.find("snapres"), std::string::npos);
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, RemovedMechFlagIsUnknown) {
+  // --mech= was a lenient duplicate of --mechanism= that ran NiLiHype for
+  // any slug it did not know, snapres included.
+  const CliResult r = RunTool("--mech=snapres --runs=1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown flag --mech=snapres"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, NonNumericRunsIsRejected) {
+  // atoi("abc") used to run a 0-run campaign.
+  const CliResult r = RunTool("--runs=abc");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'abc'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, RunsWithTrailingGarbageIsRejectedNotTruncated) {
+  const CliResult r = RunTool("--runs=2x");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'2x'"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
@@ -201,6 +226,14 @@ TEST(CampaignToolCli, FleetHostCountWithSuffixIsRejectedNotTruncated) {
   const CliResult r = RunTool("--fleet --hosts=100k");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("'100k'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, FleetHostCountOutOfIntRangeIsRejected) {
+  // 2^32 + 1 used to pass the digits check and atoi() to 1 host.
+  const CliResult r = RunTool("--fleet --hosts=4294967297");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'4294967297'"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 

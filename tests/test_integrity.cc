@@ -95,6 +95,8 @@ TEST_F(IntegrityTest, QuietEpochsNoDrift) {
   EXPECT_EQ(hv_.metrics().GetCounter("integrity.drifts").value(), 0u);
 }
 
+#ifndef NLH_NO_INTEGRITY
+
 TEST_F(IntegrityTest, LegitimateMutationIsExplained) {
   mon_.Tick();
   // A real hypervisor-path mutation (noted via the ledger): no drift.
@@ -105,8 +107,6 @@ TEST_F(IntegrityTest, LegitimateMutationIsExplained) {
   mon_.Tick();
   EXPECT_EQ(mon_.drift_count(), 0u);
 }
-
-#ifndef NLH_NO_INTEGRITY
 
 // --- Per-subsystem one-plant goldens ----------------------------------------
 

@@ -291,7 +291,7 @@ TEST(PrivVmDetectorStandalone, HangFiresOnStalledBackendWithPendingWork) {
 // ---------------------------------------------------------------------------
 // System-level goldens: the composed path (hypervisor mechanism + PrivVM
 // recovery + faults planted during the recovery window) under every
-// registered mechanism, bit-deterministic at 1/4/8 threads and across the
+// mechanism, bit-deterministic at 1/4/8 threads and across the
 // warm-fork runner.
 // ---------------------------------------------------------------------------
 

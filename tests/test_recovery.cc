@@ -6,6 +6,7 @@
 #include "recovery/manager.h"
 #include "recovery/nilihype.h"
 #include "recovery/rehype.h"
+#include "recovery/snapres.h"
 
 namespace nlh::recovery {
 namespace {
@@ -217,14 +218,6 @@ TEST_F(RecoveryTest, ReHypeHaltsAndResumesCpus) {
   EXPECT_FALSE(hv_.frozen());
 }
 
-TEST_F(RecoveryTest, CorruptedRecoveryPathGivesUp) {
-  hv_.CorruptRecoveryPath();
-  NiLiHype mech(hv_, EnhancementSet::Full());
-  const RecoveryReport rep = mech.Recover(0, hv::DetectionKind::kPanic);
-  EXPECT_TRUE(rep.gave_up);
-  EXPECT_TRUE(hv_.dead());
-}
-
 TEST_F(RecoveryTest, ManagerEnforcesAttemptLimit) {
   auto mech = std::make_unique<NiLiHype>(hv_, EnhancementSet::Full());
   RecoveryManager mgr(hv_, std::move(mech), nullptr);
@@ -240,9 +233,26 @@ TEST_F(RecoveryTest, ManagerEnforcesAttemptLimit) {
   EXPECT_EQ(mgr.reports().size(), 2u);
 }
 
-TEST_F(RecoveryTest, ReportTotalsSumSteps) {
-  NiLiHype mech(hv_, EnhancementSet::Full());
+// The shared Recover frame, run once per mechanism.
+template <typename M>
+class RecoveryFrameTest : public RecoveryTest {};
+using AllMechanisms = ::testing::Types<NiLiHype, ReHype, SnapRes>;
+TYPED_TEST_SUITE(RecoveryFrameTest, AllMechanisms);
+
+TYPED_TEST(RecoveryFrameTest, CorruptedRecoveryPathGivesUp) {
+  this->hv_.CorruptRecoveryPath();
+  TypeParam mech(this->hv_, EnhancementSet::Full());
+  const RecoveryReport rep = mech.Recover(0, hv::DetectionKind::kPanic);
+  EXPECT_TRUE(rep.gave_up);
+  EXPECT_EQ(rep.give_up_code, hv::FailureReason::kRecoveryPathCorrupted);
+  EXPECT_TRUE(rep.steps.empty());
+  EXPECT_TRUE(this->hv_.dead());
+}
+
+TYPED_TEST(RecoveryFrameTest, ReportTotalsSumSteps) {
+  TypeParam mech(this->hv_, EnhancementSet::Full());
   const RecoveryReport rep = mech.Recover(0, hv::DetectionKind::kHang);
+  EXPECT_FALSE(rep.gave_up);
   sim::Duration sum = 0;
   for (const auto& s : rep.steps) sum += s.latency;
   EXPECT_EQ(sum, rep.total());

@@ -1,9 +1,11 @@
-// Tests for the mechanism registry (recovery/registry.h) and the SnapRes
-// snapshot/rollback mechanism (recovery/snapres.h): registry contents and
-// compat-alias round trips, the capture -> corrupt -> rollback repair
-// cycle, and an end-to-end failstop run through core::TargetSystem.
+// Tests for the mechanism table (core/config.h) and the SnapRes
+// snapshot/rollback mechanism (recovery/snapres.h): table contents and
+// slug round trips, the mechanism TargetSystem builds for each entry, the
+// capture -> corrupt -> rollback repair cycle, and an end-to-end failstop
+// run through core::TargetSystem.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -14,76 +16,64 @@
 #include "core/target_system.h"
 #include "hv/hypervisor.h"
 #include "recovery/nilihype.h"
-#include "recovery/registry.h"
 #include "recovery/snapres.h"
 
 namespace nlh {
 namespace {
 
-// --- Registry ---------------------------------------------------------------
+// --- Mechanism table --------------------------------------------------------
 
-TEST(RegistryTest, ListsBuiltinsInRegistrationOrder) {
-  const std::vector<std::string> slugs = recovery::Registry::Instance().Slugs();
-  ASSERT_GE(slugs.size(), 4u);
-  EXPECT_EQ(slugs[0], "none");
-  EXPECT_EQ(slugs[1], "nilihype");
-  EXPECT_EQ(slugs[2], "rehype");
-  EXPECT_EQ(slugs[3], "snapres");
-}
+using core::Mechanism;
 
-TEST(RegistryTest, DisplayNamesMatchHistoricalEnumNames) {
-  recovery::Registry& reg = recovery::Registry::Instance();
-  EXPECT_STREQ(reg.DisplayName("none"), "None");
-  EXPECT_STREQ(reg.DisplayName("nilihype"), "NiLiHype");
-  EXPECT_STREQ(reg.DisplayName("rehype"), "ReHype");
-  EXPECT_STREQ(reg.DisplayName("snapres"), "SnapRes");
-  EXPECT_EQ(reg.DisplayName("no-such-mechanism"), nullptr);
-  EXPECT_TRUE(reg.Has("snapres"));
-  EXPECT_FALSE(reg.Has("no-such-mechanism"));
-}
-
-TEST(RegistryTest, BuildsWorkingMechanisms) {
-  hw::PlatformConfig pcfg;
-  pcfg.num_cpus = 4;
-  pcfg.memory_gib = 8;
-  hw::Platform platform(pcfg, 1);
-  hv::Hypervisor hv(platform, hv::HvConfig{});
-  hv.Boot();
-
-  recovery::MechanismParams params;
-  params.snapshot_period = sim::Milliseconds(250);
-
-  recovery::Registry& reg = recovery::Registry::Instance();
-  EXPECT_EQ(reg.Build("none", hv, params), nullptr);
-  auto nl = reg.Build("nilihype", hv, params);
-  ASSERT_NE(nl, nullptr);
-  EXPECT_EQ(nl->Name(), "NiLiHype");
-  auto sr = reg.Build("snapres", hv, params);
-  ASSERT_NE(sr, nullptr);
-  EXPECT_EQ(sr->Name(), "SnapRes");
-  // The period reached the mechanism through the params struct.
-  EXPECT_EQ(static_cast<recovery::SnapRes*>(sr.get())->period(),
-            sim::Milliseconds(250));
-}
-
-TEST(RegistryTest, EnumCompatAliasRoundTrips) {
-  using core::Mechanism;
-  const Mechanism all[] = {Mechanism::kNone, Mechanism::kNiLiHype,
-                           Mechanism::kReHype, Mechanism::kSnapRes};
-  for (Mechanism m : all) {
+TEST(MechanismTableTest, SlugsAndDisplayNamesInCanonicalOrder) {
+  // Display strings are load-bearing: committed JSON artifacts carry them.
+  const core::MechanismInfo want[] = {
+      {Mechanism::kNone, "none", "None"},
+      {Mechanism::kNiLiHype, "nilihype", "NiLiHype"},
+      {Mechanism::kReHype, "rehype", "ReHype"},
+      {Mechanism::kSnapRes, "snapres", "SnapRes"},
+  };
+  ASSERT_EQ(std::size(core::kMechanisms), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    SCOPED_TRACE(want[i].slug);
+    EXPECT_EQ(core::kMechanisms[i].mechanism, want[i].mechanism);
+    EXPECT_STREQ(core::MechanismSlug(want[i].mechanism), want[i].slug);
+    EXPECT_STREQ(core::MechanismName(want[i].mechanism), want[i].name);
     Mechanism parsed = Mechanism::kNone;
-    ASSERT_TRUE(core::MechanismFromSlug(core::MechanismSlug(m), &parsed));
-    EXPECT_EQ(parsed, m);
+    ASSERT_TRUE(core::MechanismFromSlug(want[i].slug, &parsed));
+    EXPECT_EQ(parsed, want[i].mechanism);
   }
-  // Display strings are byte-identical to the historical enum names
-  // (committed JSON artifacts carry them).
-  EXPECT_STREQ(core::MechanismName(Mechanism::kNone), "None");
-  EXPECT_STREQ(core::MechanismName(Mechanism::kNiLiHype), "NiLiHype");
-  EXPECT_STREQ(core::MechanismName(Mechanism::kReHype), "ReHype");
-  EXPECT_STREQ(core::MechanismName(Mechanism::kSnapRes), "SnapRes");
-  Mechanism parsed = Mechanism::kNone;
-  EXPECT_FALSE(core::MechanismFromSlug("bogus", &parsed));
-  EXPECT_EQ(parsed, Mechanism::kNone);
+}
+
+TEST(MechanismTableTest, UnknownSlugIsRejected) {
+  Mechanism parsed = Mechanism::kSnapRes;
+  EXPECT_FALSE(core::MechanismFromSlug("no-such-mechanism", &parsed));
+  EXPECT_FALSE(core::MechanismFromSlug("NiLiHype", &parsed));
+  EXPECT_EQ(parsed, Mechanism::kSnapRes);  // left alone
+}
+
+TEST(MechanismTableTest, TargetSystemBuildsEachMechanism) {
+  for (const core::MechanismInfo& e : core::kMechanisms) {
+    SCOPED_TRACE(e.slug);
+    core::RunConfig cfg =
+        core::RunConfig::OneAppVm(guest::BenchmarkKind::kUnixBench);
+    cfg.mechanism = e.mechanism;
+    cfg.snapshot_period = sim::Milliseconds(250);
+    core::TargetSystem sys(cfg);
+    recovery::RecoveryMechanism* mech = sys.recovery_manager()->mechanism();
+    if (e.mechanism == Mechanism::kNone) {
+      EXPECT_EQ(mech, nullptr);
+      continue;
+    }
+    ASSERT_NE(mech, nullptr);
+    EXPECT_EQ(mech->Name(), e.name);
+    if (e.mechanism == Mechanism::kSnapRes) {
+      // The period reached the mechanism from the run config.
+      const auto* snapres = dynamic_cast<recovery::SnapRes*>(mech);
+      ASSERT_NE(snapres, nullptr);
+      EXPECT_EQ(snapres->period(), sim::Milliseconds(250));
+    }
+  }
 }
 
 // --- SnapRes mechanism ------------------------------------------------------
