@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "core/target_system.h"
@@ -201,12 +202,34 @@ sim::Time FirstTriggerFor(const RunConfig& cfg) {
          rng.Range(0, cfg.inject_window_end - cfg.inject_window_start);
 }
 
+// Whether `b` may fork off `a`'s template: equal in everything except the
+// seed and the injection parameters, which only act from the trigger on.
+bool SameTemplate(const RunConfig& a, RunConfig b) {
+  b.seed = a.seed;
+  b.fault = a.fault;
+  b.inject = a.inject;
+  b.inject_window_start = a.inject_window_start;
+  b.inject_window_end = a.inject_window_end;
+  b.inject_trigger = a.inject_trigger;
+  b.inject_second_trigger = a.inject_second_trigger;
+  b.inject_plants = a.inject_plants;
+  return a == b;
+}
+
 }  // namespace
 
 std::vector<RunResult> RunManyWarmForked(
     const std::vector<RunConfig>& configs, int threads, sim::Duration epoch,
     const std::function<void(int, const RunResult&)>& on_run) {
   const int total = static_cast<int>(configs.size());
+  for (int i = 1; i < total; ++i) {
+    if (!SameTemplate(configs[0], configs[static_cast<std::size_t>(i)])) {
+      throw std::invalid_argument(
+          "RunManyWarmForked: run " + std::to_string(i) +
+          " differs from run 0 in more than the seed and injection "
+          "parameters, so it cannot fork off the same template");
+    }
+  }
   std::vector<RunResult> run_results(static_cast<std::size_t>(total));
   std::mutex mu;  // serializes on_run only
 

@@ -144,8 +144,11 @@ std::vector<RunResult> RunMany(
     const std::function<void(int, const RunResult&)>& on_run = {});
 
 // Warm-fork flavor of RunMany. Requires homogeneous configs: every entry
-// must match in everything that shapes pre-injection state (platform,
-// workload, mechanism) — only the seed and injection parameters may vary.
+// must equal configs[0] in everything but `seed`, `fault`, `inject`,
+// `inject_window_start`, `inject_window_end`, `inject_trigger`,
+// `inject_second_trigger` and `inject_plants`, since the rest shapes the
+// pre-injection state every run forks from. Throws std::invalid_argument
+// naming the first run index that differs.
 // Runs are sorted by their precomputed injection-trigger time and dealt
 // round-robin to workers, so each worker's template only ever advances
 // forward. The result vector is indexed like the input and bit-identical

@@ -160,6 +160,8 @@ struct RunConfig {
   // recovery latency, Section VII-B). See EXPERIMENTS.md for discussion.
   bool netbench_exclude_recovery_window = true;
 
+  bool operator==(const RunConfig&) const = default;
+
   // Derived: hypervisor runtime options follow the enhancement set — the
   // undo-log and batch-completion logging only exist in the image when the
   // corresponding mitigation is part of the build (Section IV).

@@ -354,10 +354,8 @@ void TargetSystem::CaptureForkImage(ForkImage* img) {
 }
 
 void TargetSystem::RestoreForkImage(ForkImage& img) {
-  // Tear down the previous run's injector before touching state: its step
-  // hook and op observer capture an object about to be destroyed.
-  platform_->ClearHvStepHook();
-  hv_->ClearOpObserver();
+  // Tear down the previous run's injector before touching state (its
+  // destructor removes the step hook and op observer it installed).
   injector_.reset();
   img.state.Rewind();
   sim::StateLoader loader{img.state, /*prune_new=*/true};

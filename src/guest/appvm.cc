@@ -69,20 +69,11 @@ void AppVmKernel::RunUnixBench() {
         if (!Syscall(kSysMmap)) return;
         phase_ = 2;
         break;
-      case 2: {
+      case 2:
         // mmap backing: batched PTE installs.
-        hv::HypercallArgs a;
-        for (int k = 0; k < 4; ++k) {
-          hv::MulticallEntry e;
-          e.code = hv::HypercallCode::kMmuUpdate;
-          e.arg0 = (map_cursor_ + static_cast<std::uint64_t>(k)) % kMapRegion;
-          e.arg1 = 1;  // map
-          a.batch.push_back(e);
-        }
-        if (!Hcall(hv::HypercallCode::kMulticall, a)) return;
+        if (!MmuUpdateBatch(/*map=*/true)) return;
         phase_ = 3;
         break;
-      }
       case 3:
         Compute(sim::Microseconds(16));
         if (!Syscall(kSysFork)) return;
@@ -119,21 +110,12 @@ void AppVmKernel::RunUnixBench() {
         if (!Syscall(kSysMunmap)) return;
         phase_ = 7;
         break;
-      case 7: {
+      case 7:
         // munmap: batched PTE removals, balancing phase 2.
-        hv::HypercallArgs a;
-        for (int k = 0; k < 4; ++k) {
-          hv::MulticallEntry e;
-          e.code = hv::HypercallCode::kMmuUpdate;
-          e.arg0 = (map_cursor_ + static_cast<std::uint64_t>(k)) % kMapRegion;
-          e.arg1 = 0;  // unmap
-          a.batch.push_back(e);
-        }
-        if (!Hcall(hv::HypercallCode::kMulticall, a)) return;
+        if (!MmuUpdateBatch(/*map=*/false)) return;
         map_cursor_ += 4;
         phase_ = 8;
         break;
-      }
       case 8:
         // Occasional lighter calls.
         if (iterations_done_ % 16 == 5) {
@@ -201,6 +183,18 @@ void AppVmKernel::RunUnixBench() {
         break;
     }
   }
+}
+
+bool AppVmKernel::MmuUpdateBatch(bool map) {
+  mmu_batch_.batch.clear();
+  for (int k = 0; k < 4; ++k) {
+    hv::MulticallEntry e;
+    e.code = hv::HypercallCode::kMmuUpdate;
+    e.arg0 = (map_cursor_ + static_cast<std::uint64_t>(k)) % kMapRegion;
+    e.arg1 = map ? 1 : 0;
+    mmu_batch_.batch.push_back(e);
+  }
+  return Hcall(hv::HypercallCode::kMulticall, mmu_batch_);
 }
 
 // ---------------------------------------------------------------------------

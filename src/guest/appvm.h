@@ -104,6 +104,9 @@ class AppVmKernel : public GuestKernel {
 
  private:
   void RunUnixBench();
+  // Issues one 4-entry multicall of mmu_updates over the current map window
+  // (map or unmap). Same contract as Hcall.
+  bool MmuUpdateBatch(bool map);
   void RunUnixBenchHvm();
   void RunBlkBench();
   void RunNetBench();
@@ -121,6 +124,10 @@ class AppVmKernel : public GuestKernel {
   std::deque<std::uint64_t> pinned_;
   std::uint64_t map_cursor_ = 0;
   std::uint64_t pin_cursor_ = 32;
+  // MmuUpdateBatch's argument buffer: refilled before every issue, so it
+  // holds no run state (not visited), and reusing it keeps multicalls
+  // allocation-free.
+  hv::HypercallArgs mmu_batch_;
 
   // BlkBench state.
   BlkRing* blk_ring_ = nullptr;

@@ -78,7 +78,9 @@ struct Domain {
 //    that create or destroy other domains (e.g. a PrivVM toolstack slice
 //    creating a domain mid-slice).
 //
-// Find is a binary search over a contiguous id array; with the handful of
+// Find probes the slot its id indexes (ids count up from 0 and only erase
+// leaves gaps, so the probe misses only after an erase) and falls back to
+// a binary search over the contiguous id array; with the handful of
 // domains a host runs this is faster than the map's pointer-chasing and
 // allocation-free on the create path (ids are assigned monotonically, so
 // insertion is push_back).
@@ -127,6 +129,10 @@ class DomainTable {
   }
 
   Domain* Find(DomainId id) {
+    const auto slot = static_cast<std::size_t>(id);
+    if (slot < slots_.size() && slots_[slot]->id == id) {
+      return slots_[slot].get();
+    }
     auto it = LowerBound(id);
     return (it != slots_.end() && (*it)->id == id) ? it->get() : nullptr;
   }

@@ -113,20 +113,10 @@ void HvHeap::Free(HeapObjectId id) {
   NLH_INTEGRITY_NOTE(ledger_, integrity::Surface::kHeap);
 }
 
-HeapObject* HvHeap::Find(HeapObjectId id) {
-  auto it = LowerBound(id);
-  return (it != objects_.end() && it->id == id) ? &*it : nullptr;
-}
-
 std::vector<HeapObject>::iterator HvHeap::LowerBound(HeapObjectId id) {
   return std::lower_bound(
       objects_.begin(), objects_.end(), id,
       [](const HeapObject& o, HeapObjectId v) { return o.id < v; });
-}
-
-SpinLock* HvHeap::LockOf(HeapObjectId id) {
-  HeapObject* obj = Find(id);
-  return (obj != nullptr) ? obj->lock.get() : nullptr;
 }
 
 int HvHeap::ReleaseAllLocks() {

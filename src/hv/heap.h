@@ -56,8 +56,20 @@ class HvHeap {
 
   void Free(HeapObjectId id);
 
-  HeapObject* Find(HeapObjectId id);
-  SpinLock* LockOf(HeapObjectId id);
+  // Ids count up from 1 and only Free leaves gaps, so objects_[id - 1]
+  // almost always holds the object; the binary search runs only on a miss.
+  HeapObject* Find(HeapObjectId id) {
+    const std::size_t slot = id - 1;  // id 0 wraps past every slot
+    if (slot < objects_.size() && objects_[slot].id == id) {
+      return &objects_[slot];
+    }
+    auto it = LowerBound(id);
+    return (it != objects_.end() && it->id == id) ? &*it : nullptr;
+  }
+  SpinLock* LockOf(HeapObjectId id) {
+    HeapObject* obj = Find(id);
+    return (obj != nullptr) ? obj->lock.get() : nullptr;
+  }
 
   std::uint64_t allocated_pages() const { return allocated_pages_; }
   std::uint64_t free_pages() const { return free_pages_; }

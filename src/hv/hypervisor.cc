@@ -255,8 +255,6 @@ void Hypervisor::StartDomain(DomainId dom) {
   }
 }
 
-Domain* Hypervisor::FindDomain(DomainId id) { return domains_.Find(id); }
-
 // ---------------------------------------------------------------------------
 // Recurring timers
 // ---------------------------------------------------------------------------
@@ -779,8 +777,12 @@ void Hypervisor::ForwardedSyscall(VcpuId v, std::uint64_t sysno) {
   vc.inflight.active = true;
   vc.inflight.is_syscall = true;
   vc.inflight.code = HypercallCode::kXenVersion;  // unused for syscalls
-  vc.inflight.args = HypercallArgs{};
+  // Reset field by field: assigning HypercallArgs{} would free the batch
+  // buffer that the next multicall's copy into inflight.args reuses.
   vc.inflight.args.arg0 = sysno;
+  vc.inflight.args.arg1 = 0;
+  vc.inflight.args.arg2 = 0;
+  vc.inflight.args.batch.clear();
   vc.inflight.needs_retry = false;
   vc.inflight.lost = false;
   vc.inflight.undo.Clear();

@@ -215,7 +215,7 @@ class Hypervisor {
   std::vector<Vcpu>& vcpus() { return vcpus_; }
   Vcpu& vcpu(VcpuId v) { return vcpus_[static_cast<std::size_t>(v)]; }
   DomainTable& domains() { return domains_; }
-  Domain* FindDomain(DomainId id);
+  Domain* FindDomain(DomainId id) { return domains_.Find(id); }
   TimerHeap& timers(hw::CpuId c) { return *timers_[static_cast<std::size_t>(c)]; }
   // Snapshot of the core counters (see the metrics registry for the full,
   // extensible set).

@@ -36,13 +36,20 @@ class HvHang : public std::runtime_error {
   }
 };
 
+// Throws HvPanic(prefix + msg). Out of line and cold, so the checks below
+// inline to a test and a branch at every call site.
+[[noreturn, gnu::cold, gnu::noinline]] inline void ThrowHvPanic(
+    const char* prefix, const char* msg) {
+  throw HvPanic(std::string(prefix) + msg);
+}
+
 // Xen-style assertion: throws HvPanic (i.e. the panic detector fires).
 inline void HvAssert(bool cond, const char* msg) {
-  if (!cond) throw HvPanic(std::string("ASSERT failed: ") + msg);
+  if (!cond) [[unlikely]] ThrowHvPanic("ASSERT failed: ", msg);
 }
 
 inline void HvBugOn(bool cond, const char* msg) {
-  if (cond) throw HvPanic(std::string("BUG_ON: ") + msg);
+  if (cond) [[unlikely]] ThrowHvPanic("BUG_ON: ", msg);
 }
 
 }  // namespace nlh::hv

@@ -32,10 +32,7 @@ class SpinLock {
   // so a lock observed held was left behind by an abandoned or preempted
   // thread; a real CPU would spin on it forever -> simulated hang.
   void Acquire(hw::CpuId cpu) {
-    if (holder_ != kUnheld) {
-      throw HvHang("deadlock on lock '" + name_ + "' held by CPU" +
-                   std::to_string(holder_));
-    }
+    if (holder_ != kUnheld) [[unlikely]] ThrowDeadlock();
     NLH_RECORD(forensics::EventKind::kLockAcquire, cpu, 0, 0, name_);
     holder_ = cpu;
     ++acquisitions_;
@@ -66,6 +63,11 @@ class SpinLock {
 
  private:
   static constexpr hw::CpuId kUnheld = -1;
+  // The throw half of Acquire, kept out of line.
+  [[noreturn, gnu::cold, gnu::noinline]] void ThrowDeadlock() const {
+    throw HvHang("deadlock on lock '" + name_ + "' held by CPU" +
+                 std::to_string(holder_));
+  }
   std::string name_;
   hw::CpuId holder_ = kUnheld;
   std::uint64_t acquisitions_ = 0;

@@ -21,6 +21,15 @@ std::string_view StaticVarName(StaticVar v) {
   return "?";
 }
 
+void StaticDataSegment::ThrowCorruptedUse(StaticVar v) const {
+  if (entries_[Idx(v)].hangs_on_use) {
+    throw HvHang(std::string("corrupted static '") +
+                 std::string(StaticVarName(v)) + "' caused livelock");
+  }
+  throw HvPanic(std::string("fatal fault dereferencing static '") +
+                std::string(StaticVarName(v)) + "'");
+}
+
 void StaticDataSegment::ResetAll() {
   for (Entry& e : entries_) e = Entry{};
 

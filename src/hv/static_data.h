@@ -62,16 +62,10 @@ class StaticDataSegment {
   // A use site: hypervisor code calls this where Xen would dereference the
   // variable. A corrupted pointer-like variable manifests as a fatal page
   // fault (panic); corrupted bookkeeping manifests as a hang.
+  // A benign corruption is a wrong value without functional impact.
   void Use(StaticVar v) const {
     const Entry& e = entries_[Idx(v)];
-    if (!e.corrupted) return;
-    if (e.benign) return;  // wrong value without functional impact
-    if (e.hangs_on_use) {
-      throw HvHang(std::string("corrupted static '") +
-                   std::string(StaticVarName(v)) + "' caused livelock");
-    }
-    throw HvPanic(std::string("fatal fault dereferencing static '") +
-                  std::string(StaticVarName(v)) + "'");
+    if (e.corrupted && !e.benign) [[unlikely]] ThrowCorruptedUse(v);
   }
 
   // ReHype reboot: every variable is re-initialized by the fresh boot; the
@@ -111,6 +105,9 @@ class StaticDataSegment {
   };
 
   static std::size_t Idx(StaticVar v) { return static_cast<std::size_t>(v); }
+  // The throw half of Use, kept out of line.
+  [[noreturn, gnu::cold, gnu::noinline]] void ThrowCorruptedUse(
+      StaticVar v) const;
 
   std::array<Entry, kNumStaticVars> entries_;
 };

@@ -32,6 +32,8 @@ struct PlatformConfig {
   // hypervisor instruction. 2.5 GHz, ~1 IPC.
   double ns_per_instruction = 0.4;
   sim::Duration watchdog_nmi_period = sim::Milliseconds(100);
+
+  bool operator==(const PlatformConfig&) const = default;
 };
 
 class Platform {
@@ -73,6 +75,7 @@ class Platform {
   using HvStepHook = std::function<void(Cpu&, std::uint64_t /*instructions*/)>;
   void SetHvStepHook(HvStepHook hook) { hv_step_hook_ = std::move(hook); }
   void ClearHvStepHook() { hv_step_hook_ = nullptr; }
+  bool has_hv_step_hook() const { return static_cast<bool>(hv_step_hook_); }
 
   void OnHvStep(Cpu& cpu, std::uint64_t instructions) {
     if (hv_step_hook_) hv_step_hook_(cpu, instructions);

@@ -82,15 +82,12 @@ void FaultInjector::Arm(const InjectionPlan& plan) {
   if (!plan_.fault_enabled) return;
   hv_.platform().queue().ScheduleAt(plan_.first_trigger, [this] {
     if (plan_.trigger.kind == TriggerKind::kTime) {
-      counting_ = true;
-      remaining_ = plan_.second_trigger_instructions;
+      StartCountdown();
     } else {
       awaiting_event_ = true;
       events_to_skip_ = plan_.trigger.skip;
     }
   });
-  hv_.platform().SetHvStepHook(
-      [this](hw::Cpu& cpu, std::uint64_t n) { OnHvStep(cpu, n); });
   if (plan_.trigger.kind != TriggerKind::kTime) {
     hv_.SetOpObserver([this](hv::Hypervisor::OpEventKind kind,
                              hv::HypercallCode code,
@@ -117,9 +114,15 @@ void FaultInjector::OnOpEvent(hv::Hypervisor::OpEventKind kind,
   // fires from the per-step hook, i.e. between two real mutation steps of
   // the matched (or a later) in-flight operation.
   awaiting_event_ = false;
+  StartCountdown();
+  hv_.ClearOpObserver();
+}
+
+void FaultInjector::StartCountdown() {
   counting_ = true;
   remaining_ = plan_.second_trigger_instructions;
-  hv_.ClearOpObserver();
+  hv_.platform().SetHvStepHook(
+      [this](hw::Cpu& cpu, std::uint64_t n) { OnHvStep(cpu, n); });
 }
 
 void FaultInjector::ApplyPlant(std::size_t index) {

@@ -4,7 +4,8 @@
 // Faults are injected through a two-level chained trigger: a timer fires at
 // a configured point in the run, arming an instruction counter; after a
 // random 0..20000 further instructions retired *in hypervisor code* (the
-// platform's per-step hook), the fault fires on whichever CPU is executing.
+// platform's per-step hook, installed only while that counter runs), the
+// fault fires on whichever CPU is executing.
 // Firing happens between two real mutation steps of whatever handler is
 // running, so abandonment leaves authentic partial state.
 //
@@ -59,6 +60,8 @@ TriggerKind TriggerKindFromName(const std::string& name);
 struct TriggerSpec {
   TriggerKind kind = TriggerKind::kTime;
   int skip = 0;  // fire on the (skip+1)-th matching event
+
+  bool operator==(const TriggerSpec&) const = default;
 };
 
 // A planted corruption: applies one corruption action at an absolute time,
@@ -73,6 +76,8 @@ struct PlantSpec {
   // corrupted *while* a mechanism is mid-recovery (the hypervisor is
   // frozen). Such plants stay dormant in runs that never detect anything.
   bool during_recovery = false;
+
+  bool operator==(const PlantSpec&) const = default;
 };
 
 struct InjectionPlan {
@@ -106,7 +111,10 @@ class FaultInjector {
   FaultInjector(hv::Hypervisor& hv, CorruptionHooks hooks, std::uint64_t seed)
       : hv_(hv), hooks_(std::move(hooks)), rng_(seed), seed_(seed) {}
 
-  ~FaultInjector() { hv_.ClearOpObserver(); }
+  ~FaultInjector() {
+    hv_.ClearOpObserver();
+    hv_.platform().ClearHvStepHook();
+  }
 
   // Arms the two-level trigger (and schedules any planted corruptions;
   // plants marked during_recovery stay deferred until
@@ -123,6 +131,11 @@ class FaultInjector {
  private:
   void OnHvStep(hw::Cpu& cpu, std::uint64_t instructions);
   void OnOpEvent(hv::Hypervisor::OpEventKind kind, hv::HypercallCode code);
+  // Starts the level-2 instruction countdown and installs the step hook.
+  // The hook is live only from here until the fault fires, or until a
+  // delayed panic's propagation countdown ends: every other Step runs
+  // without a hook call.
+  void StartCountdown();
   void ApplyPlant(std::size_t index);
   void Fire(hw::Cpu& cpu);
   [[noreturn]] void RaiseDetected(Manifestation m);

@@ -25,6 +25,8 @@ struct EnhancementSet {
   bool unlock_static_locks = true;
   bool reactivate_recurring = true;
 
+  bool operator==(const EnhancementSet&) const = default;
+
   // --- Presets -------------------------------------------------------------
   static EnhancementSet Full() { return EnhancementSet{}; }
 

@@ -79,6 +79,8 @@ struct LatencyModel {
   sim::Duration pv_backend_rebuild = sim::Microseconds(220);
   sim::Duration pv_kernel_reset = sim::Microseconds(140);
 
+  bool operator==(const LatencyModel&) const = default;
+
   sim::Duration FrameScan(std::uint64_t configured_frames) const {
     const int par = frame_scan_parallelism > 0 ? frame_scan_parallelism : 1;
     return static_cast<sim::Duration>(frame_scan_ns_per_frame *

@@ -480,7 +480,9 @@ TEST(CampaignForensics, DetectionSplitAndLatencyAggregatesInJson) {
     EXPECT_GE(agg.Find("max_ms")->number, agg.Find("p50_ms")->number);
     total_samples += static_cast<int>(agg.Find("samples")->number);
   }
-  if (res.detected > 0) EXPECT_GT(total_samples, 0);
+  if (res.detected > 0) {
+    EXPECT_GT(total_samples, 0);
+  }
 }
 
 }  // namespace

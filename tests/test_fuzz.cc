@@ -105,7 +105,9 @@ TEST(Oracle, ExecutionIdenticalUntilDetectionAcrossPolicies) {
   EXPECT_EQ(nili.detection_latency_ns, rehype.detection_latency_ns);
   // The baseline never recovers.
   EXPECT_EQ(base.recoveries, 0);
-  if (base.detected) EXPECT_FALSE(base.success);
+  if (base.detected) {
+    EXPECT_FALSE(base.success);
+  }
 }
 
 // --- Seeded self-check ------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,61 @@ TEST(WarmForkCampaign, AggregateMatchesColdCampaign) {
   const CampaignResult cold = RunCampaign(cfg, cold_opts);
   const CampaignResult warm = RunCampaign(cfg, warm_opts);
   EXPECT_EQ(warm.ToJson(), cold.ToJson());
+}
+
+// --- Homogeneity contract -----------------------------------------------------
+
+TEST(WarmForkGolden, SeedFaultAndWindowMayVary) {
+  // The shape of an audited, integrity-monitored benchmark campaign: fault
+  // type rotated by run index, triggers stratified over the window.
+  static constexpr inject::FaultType kFaults[] = {
+      inject::FaultType::kFailstop, inject::FaultType::kRegister,
+      inject::FaultType::kCode};
+  std::vector<RunConfig> configs = MakeConfigs(Mechanism::kNiLiHype, 6, 8000);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].fault = kFaults[i % 3];
+    configs[i].inject_window_start =
+        sim::Milliseconds(300) + static_cast<sim::Duration>(i) *
+                                     sim::Milliseconds(150);
+    configs[i].inject_window_end =
+        configs[i].inject_window_start + sim::Milliseconds(150);
+    configs[i].audit = true;
+    configs[i].integrity = true;
+  }
+  ExpectWarmMatchesCold(configs);
+}
+
+// A run that cannot fork off run 0's template is rejected before anything
+// runs, naming the first offending index.
+void ExpectRejected(const std::vector<RunConfig>& configs, int bad_index) {
+  try {
+    RunManyWarmForked(configs, 1, sim::Milliseconds(100));
+    ADD_FAILURE() << "heterogeneous configs were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "run " + std::to_string(bad_index) + " differs"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WarmForkContract, MismatchedMechanismThrows) {
+  std::vector<RunConfig> configs = MakeConfigs(Mechanism::kNiLiHype, 4, 1000);
+  configs[2].mechanism = Mechanism::kReHype;
+  ExpectRejected(configs, 2);
+}
+
+TEST(WarmForkContract, MismatchedSetupThrows) {
+  std::vector<RunConfig> configs = MakeConfigs(Mechanism::kNiLiHype, 3, 1000);
+  configs[1].setup = Setup::k1AppVM;
+  ExpectRejected(configs, 1);
+}
+
+TEST(WarmForkContract, MismatchedAuditFlagThrows) {
+  std::vector<RunConfig> configs = MakeConfigs(Mechanism::kNiLiHype, 5, 1000);
+  configs[3].audit = true;
+  configs[4].mechanism = Mechanism::kSnapRes;
+  ExpectRejected(configs, 3);
 }
 
 }  // namespace
