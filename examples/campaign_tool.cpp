@@ -61,8 +61,10 @@
 //                    DIR/run_<run_id>.json (run_id == the run's seed; the
 //                    directory is created if missing).
 // --replay=RUN_ID    skip the campaign and replay that one run with full
-//                    telemetry (kTrace logging to stderr); writes its
-//                    dossier to --dossier-dir (default "dossiers") and, with
+//                    telemetry; prints the run's narrative (the flight
+//                    recorder's pinned events: injection, detection,
+//                    recovery phases, death), writes its dossier to
+//                    --dossier-dir (default "dossiers") and, with
 //                    --profile-out, a flamegraph.pl-compatible
 //                    collapsed-stack profile of the simulated time.
 // --profile-out=F    write the collapsed-stack profile of the replayed run
@@ -140,7 +142,8 @@ void Usage() {
       "            [--integrity-out=FILE.json]\n"
       "            [--trace-out=FILE.json] [--metrics-out=FILE.json]\n"
       "            [--dossier-dir=DIR] [--profile-out=FILE.folded] [--verbose]\n"
-      "  replay:   --replay=RUN_ID | --replay=REPRO.json\n"
+      "  replay:   --replay=RUN_ID  (print the run's event narrative, write\n"
+      "            its dossier to --dossier-dir) | --replay=REPRO.json\n"
       "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
       "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
       "  corpus:   --corpus=DIR  (without --fuzz: replay every reproducer in\n"
@@ -525,17 +528,15 @@ int main(int argc, char** argv) {
 
   if (replay_mode) {
     // Forensic replay of one run: same config, seed == run_id, recorder +
-    // tracer on, kTrace logging to stderr. Deterministic, so this is the
-    // exact execution the campaign saw.
+    // tracer on. Deterministic, so this is the exact execution the campaign
+    // saw, and its dossier equals the one a campaign --dossier-dir writes.
     std::printf("replaying run %llu (%s, %s faults, %s) with full telemetry\n",
                 static_cast<unsigned long long>(replay_id),
                 core::MechanismName(cfg.mechanism),
                 inject::FaultTypeName(cfg.fault),
                 one_appvm ? "1AppVM" : "3AppVM");
-    forensics::ReplayOptions ropts;
-    ropts.log_level = sim::LogLevel::kTrace;
-    const forensics::ReplayArtifacts art =
-        forensics::ReplayRun(cfg, replay_id, ropts);
+    const forensics::ReplayArtifacts art = forensics::ReplayRun(cfg, replay_id);
+    std::printf("%s", art.narrative.c_str());
     const core::RunResult& r = art.result;
     std::printf("\noutcome: %s%s\n", core::OutcomeClassName(r.outcome),
                 r.outcome == core::OutcomeClass::kDetected
@@ -552,11 +553,9 @@ int main(int argc, char** argv) {
       std::printf("failure: %s (%s)\n", hv::FailureReasonName(r.failure_reason),
                   r.failure_detail.c_str());
     }
-    // Written with default options (log level kNone), so the dossier is
-    // byte-identical to the one a campaign --dossier-dir pass emits: the
-    // stderr log level above must not perturb the artifact.
     const std::string dir = dossier_dir.empty() ? "dossiers" : dossier_dir;
-    const std::string path = forensics::WriteDossier(cfg, replay_id, dir);
+    const std::string path =
+        forensics::WriteDossier(art.dossier_json, replay_id, dir);
     if (path.empty()) {
       std::printf("cannot write dossier under %s\n", dir.c_str());
       return 1;
@@ -674,8 +673,8 @@ int main(int argc, char** argv) {
     std::sort(dossier_runs.begin(), dossier_runs.end());
     int written = 0;
     for (std::uint64_t run_id : dossier_runs) {
-      const std::string path =
-          forensics::WriteDossier(cfg, run_id, dossier_dir);
+      const std::string path = forensics::WriteDossier(
+          forensics::ReplayRun(cfg, run_id).dossier_json, run_id, dossier_dir);
       if (path.empty()) {
         std::printf("cannot write dossier for run %llu under %s\n",
                     static_cast<unsigned long long>(run_id),

@@ -52,18 +52,18 @@ int main() {
     PrintResult("fault-free 3AppVM run", sys.Run());
   }
 
-  // 2. A failstop fault recovered by NiLiHype, with the run timeline.
+  // 2. A failstop fault recovered by NiLiHype, with the run narrative the
+  //    flight recorder pinned: injection, detection, recovery steps.
   {
     core::RunConfig cfg;
     cfg.mechanism = core::Mechanism::kNiLiHype;
     cfg.fault = inject::FaultType::kFailstop;
     cfg.seed = 7;
     core::TargetSystem sys(cfg);
-    sys.EnableTimeline();
+    sys.EnableFlightRecorder();
     PrintResult("failstop fault + NiLiHype (microreset)", sys.Run());
-    std::printf("run timeline:\n");
-    sys.timeline().Print();
-    std::printf("\n");
+    std::printf("run narrative:\n%s\n",
+                sys.hv().flight_recorder().PinnedText().c_str());
   }
 
   // 3. The same fault recovered by ReHype (microreboot): same outcome, but

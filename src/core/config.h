@@ -93,7 +93,6 @@ struct RunConfig {
   // Fixed work per benchmark (iterations); see guest/appvm.h.
   int unixbench_iterations = 42000;   // ~2.9 s at ~70 us/iter
   int blkbench_files = 2000;          // ~1.5 s at ~0.73 ms/file
-  int vm3_blkbench_files = 800;       // ~0.5 s post-recovery check
   sim::Duration netbench_duration = sim::Seconds(3);
   sim::Duration run_deadline = sim::Seconds(6);
   // Figure 3 variant of the 3AppVM setup (Section VII-C): create all three
@@ -154,11 +153,6 @@ struct RunConfig {
   // Requires `integrity`.
   bool proactive = false;
   int proactive_threshold = 1;
-
-  // NetBench evaluation: exclude the detection+recovery interval from the
-  // 10%-rate-drop criterion (the interruption itself is reported as
-  // recovery latency, Section VII-B). See EXPERIMENTS.md for discussion.
-  bool netbench_exclude_recovery_window = true;
 
   bool operator==(const RunConfig&) const = default;
 

@@ -9,6 +9,13 @@
 
 namespace nlh::core {
 
+namespace {
+
+// Work of the BlkBench VM created after recovery (~0.5 s check).
+constexpr int kVm3BlkBenchFiles = 800;
+
+}  // namespace
+
 const char* OutcomeClassName(OutcomeClass c) {
   switch (c) {
     case OutcomeClass::kNonManifested: return "non-manifested";
@@ -157,7 +164,7 @@ void TargetSystem::Build() {
   privvm_->SetVmFactory([this](hv::DomainId created) {
     auto vm = std::make_unique<guest::AppVmKernel>(
         *hv_, "BlkBench-VM3", config_.seed ^ 0x333,
-        guest::BenchmarkKind::kBlkBench, config_.vm3_blkbench_files);
+        guest::BenchmarkKind::kBlkBench, kVm3BlkBenchFiles);
     vm->Bind(created, hv_->FindDomain(created)->vcpus.front());
     hv_->AttachGuest(created, vm.get());
     WireBlk(vm.get());
@@ -379,14 +386,10 @@ void TargetSystem::RebindPrivVmFrontends() {
 
 void TargetSystem::RunPrivVmRecovery(const hv::DetectionEvent& ev) {
   if (privvm_recovery_ == nullptr || hv_->dead() || hv_->frozen()) return;
-  // Attempt cap mirrors RecoveryManager::max_attempts_: a backend that keeps
-  // failing is left down rather than repaired forever.
-  if (privvm_recovery_->recoveries() >= 3) return;
-  const recovery::RecoveryReport rep = privvm_recovery_->Recover(ev);
-  platform_->log().Log(sim::LogLevel::kInfo, hv_->Now(), "recover",
-                       "privvm component recovery completed in " +
-                           std::to_string(sim::ToMillisF(rep.total())) +
-                           "ms (" + ev.detail + ")");
+  // The hypervisor path's attempt cap (recovery/manager.h): a backend that
+  // keeps failing is left down rather than repaired forever.
+  if (privvm_recovery_->recoveries() >= recovery::kMaxRecoveryAttempts) return;
+  privvm_recovery_->Recover(ev);
 }
 
 void TargetSystem::RunOnlineAuditPass(integrity::Surface surface) {
@@ -443,20 +446,6 @@ void TargetSystem::RearmForSeed(const RunConfig& run_config) {
   if (config_.inject || !config_.inject_plants.empty()) ArmInjection();
 }
 
-void TargetSystem::EnableFlightRecorder(std::size_t per_cpu_capacity) {
-  hv_->flight_recorder().Enable(platform_->num_cpus(), per_cpu_capacity);
-  // Fold log lines that pass the logger's filtering into the event stream
-  // (the recorder captures them even when the sink/stderr output is off,
-  // as long as the level allows the line through).
-  platform_->log().SetEventHook(
-      [this](sim::LogLevel level, sim::Time /*now*/,
-             const std::string& component, const std::string& message) {
-        hv_->flight_recorder().Record(
-            forensics::EventKind::kLogLine, -1,
-            static_cast<std::uint64_t>(level), 0, component + ": " + message);
-      });
-}
-
 RunResult TargetSystem::Run() {
   auto& queue = platform_->queue();
   std::uint64_t n = 0;
@@ -497,10 +486,12 @@ RunResult TargetSystem::Classify() {
                        st.responses_synthesized;
   }
 
-  // Recovery window (for the NetBench rate criterion).
+  // Recovery window: NetBench's 10%-rate-drop criterion excludes the
+  // detection+recovery interval, whose interruption is reported as recovery
+  // latency instead (Section VII-B; see EXPERIMENTS.md).
   sim::Time rec_from = -1;
   sim::Time rec_to = -1;
-  if (config_.netbench_exclude_recovery_window && r.recoveries > 0) {
+  if (r.recoveries > 0) {
     rec_from = std::max<sim::Time>(
         0, manager_->reports().front().detected_at - sim::Milliseconds(400));
     rec_to = manager_->reports().front().resumed_at + sim::Milliseconds(400);
@@ -672,85 +663,7 @@ RunResult TargetSystem::Classify() {
     r.online_audit_findings = static_cast<int>(online_audit_.findings.size());
   }
 
-  BuildTimeline(r);
   return r;
-}
-
-void TargetSystem::BuildTimeline(const RunResult& r) {
-  if (!timeline_.enabled()) return;
-  // NLH_TIMELINE_ADD re-checks enabled() before evaluating its arguments,
-  // so the string formatting below costs nothing if this early return is
-  // ever removed or a call site moves onto a hot path.
-  NLH_TIMELINE_ADD(timeline_, 0, "system",
-                   std::string("boot: ") + MechanismName(config_.mechanism) +
-                       ", seed " + std::to_string(config_.seed));
-  if (injector_ != nullptr && injector_->record().fired) {
-    const inject::InjectionRecord& rec = injector_->record();
-    std::string what = std::string(inject::FaultTypeName(config_.fault)) +
-                       " fault fired on cpu" + std::to_string(rec.cpu);
-    switch (rec.manifestation) {
-      case inject::Manifestation::kNone: what += " (never manifested)"; break;
-      case inject::Manifestation::kSdc: what += " (silent corruption)"; break;
-      case inject::Manifestation::kImmediatePanic: what += " (immediate panic)"; break;
-      case inject::Manifestation::kDelayedPanic:
-        what += " (" + std::to_string(rec.corruptions.size()) +
-                " corruptions, delayed detection)";
-        break;
-      case inject::Manifestation::kHang: what += " (livelock)"; break;
-    }
-    NLH_TIMELINE_ADD(timeline_, rec.fired_at, "inject", what);
-  }
-  if (manager_ != nullptr) {
-    for (const recovery::RecoveryReport& rep : manager_->reports()) {
-      NLH_TIMELINE_ADD(timeline_, rep.detected_at, "detect",
-                       rep.kind == hv::DetectionKind::kPanic
-                           ? "panic detected"
-                           : "hang detected");
-      for (const recovery::StepLatency& step : rep.steps) {
-        NLH_TIMELINE_ADD(timeline_, rep.detected_at, "recover",
-                         step.name + " (" +
-                             std::to_string(sim::ToMicros(step.latency)) +
-                             " us)");
-      }
-      if (rep.gave_up) {
-        NLH_TIMELINE_ADD(timeline_, rep.detected_at, "recover",
-                         "GAVE UP: " + rep.give_up_reason);
-      } else {
-        NLH_TIMELINE_ADD(timeline_, rep.resumed_at, "recover",
-                         "system resumed");
-      }
-    }
-  }
-  for (const VmVerdict& v : r.vms) {
-    NLH_TIMELINE_ADD(timeline_, platform_->Now(), "vm",
-                     v.name + ": " +
-                         (v.affected ? "AFFECTED — " + v.why : "ok"));
-  }
-  if (r.vm3_attempted) {
-    NLH_TIMELINE_ADD(timeline_, platform_->Now(), "vm",
-                     std::string("post-recovery VM creation check: ") +
-                         (r.vm3_ok ? "passed" : "FAILED"));
-  }
-  if (r.audited) {
-    std::string what = r.audit_clean
-                           ? "state audit clean"
-                           : "state audit found " +
-                                 std::to_string(r.audit_report.CorruptionCount()) +
-                                 " corruption finding(s)";
-    if (r.latent_corruption) what += " (latent: run classified successful)";
-    NLH_TIMELINE_ADD(timeline_, platform_->Now(), "audit", what);
-  }
-  if (r.integrity && r.first_drift_epoch >= 0) {
-    NLH_TIMELINE_ADD(timeline_, r.first_drift_at, "integrity",
-                     "first unexplained drift on " + r.first_drift_surface +
-                         " at epoch " + std::to_string(r.first_drift_epoch) +
-                         (r.rejuvenations > 0 ? " (proactive recovery fired)"
-                                              : ""));
-  }
-  if (r.system_dead) {
-    NLH_TIMELINE_ADD(timeline_, platform_->Now(), "system",
-                     "platform dead: " + r.death_reason);
-  }
 }
 
 }  // namespace nlh::core

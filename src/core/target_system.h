@@ -19,7 +19,6 @@
 #include "audit/snapshot.h"
 #include "core/config.h"
 #include "core/outcome.h"
-#include "core/timeline.h"
 #include "detect/hang_detector.h"
 #include "guest/appvm.h"
 #include "guest/devices.h"
@@ -54,10 +53,6 @@ class TargetSystem {
   // Runs the configured scenario to its deadline and classifies the result.
   RunResult Run();
 
-  // Enables run-timeline recording (off by default; see core/timeline.h).
-  void EnableTimeline() { timeline_.Enable(); }
-  const Timeline& timeline() const { return timeline_; }
-
   // Enables trace-span recording on the hypervisor (off by default; see
   // sim/trace.h). Call before Run(); export with hv().tracer().ToChromeJson().
   void EnableTracing(std::size_t capacity = 1 << 16) {
@@ -65,10 +60,13 @@ class TargetSystem {
   }
 
   // Enables the flight recorder (off by default; see
-  // forensics/flight_recorder.h) and routes platform log lines into it.
-  // Call before Run(); export with hv().flight_recorder().ToJson().
+  // forensics/flight_recorder.h). Call before Run(); export with
+  // hv().flight_recorder().ToJson(), or print the run's narrative with
+  // hv().flight_recorder().PinnedText().
   void EnableFlightRecorder(
-      std::size_t per_cpu_capacity = forensics::FlightRecorder::kDefaultCapacity);
+      std::size_t per_cpu_capacity = forensics::FlightRecorder::kDefaultCapacity) {
+    hv_->flight_recorder().Enable(platform_->num_cpus(), per_cpu_capacity);
+  }
 
   // --- Component access (tests, examples, benches) --------------------------
   hw::Platform& platform() { return *platform_; }
@@ -158,7 +156,6 @@ class TargetSystem {
   // surface into online_audit_ (config.integrity && config.audit).
   void RunOnlineAuditPass(integrity::Surface surface);
   RunResult Classify();
-  void BuildTimeline(const RunResult& r);
 
   // Walks every layer's mutable state for CaptureForkImage/RestoreForkImage.
   // AppVMs and ring wirings are only ever appended (the post-recovery VM3),
@@ -262,7 +259,6 @@ class TargetSystem {
   std::unique_ptr<recovery::RejuvenationPolicy> rejuvenation_;
   sim::Rng run_rng_;
 
-  Timeline timeline_;
   audit::GoldenSnapshot golden_;
   audit::AuditReport online_audit_;
   guest::AppVmKernel* vm3_ = nullptr;

@@ -44,7 +44,6 @@ class HangDetector {
     }
     if (++misses_[i] < misses_to_hang_) return;
     misses_[i] = 0;
-    ++hangs_detected_;
     hv::DetectionEvent ev;
     ev.cpu = cpu;
     ev.kind = hv::DetectionKind::kHang;
@@ -63,14 +62,11 @@ class HangDetector {
     }
   }
 
-  std::uint64_t hangs_detected() const { return hangs_detected_; }
-
   // Snapshot/restore (sim/state_image.h).
   template <typename V>
   void VisitState(V&& v) {
     v(last_count_);
     v(misses_);
-    v(hangs_detected_);
   }
 
  private:
@@ -78,7 +74,6 @@ class HangDetector {
   int misses_to_hang_;
   std::vector<std::uint64_t> last_count_;
   std::vector<int> misses_;
-  std::uint64_t hangs_detected_ = 0;
 };
 
 }  // namespace nlh::detect

@@ -124,21 +124,23 @@ std::string DetectionJson(const core::RunResult& r) {
          ",\"detail\":" + sim::JsonStr(ev.detail) + "}";
 }
 
-ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg, std::uint64_t run_id,
-                          const ReplayOptions& opts) {
+ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg,
+                          std::uint64_t run_id) {
+  constexpr std::size_t kRecorderCapacity = 256;  // per-CPU ring
+  constexpr std::size_t kTraceCapacity = 4096;    // span ring
   core::RunConfig cfg = base_cfg;
   cfg.seed = run_id;
-  if (opts.audit) cfg.audit = true;
+  cfg.audit = true;  // so every dossier carries the audit findings
 
   core::TargetSystem sys(cfg);
-  sys.EnableTracing(opts.trace_capacity);
-  sys.EnableFlightRecorder(opts.recorder_capacity);
-  sys.platform().log().SetLevel(opts.log_level);
+  sys.EnableTracing(kTraceCapacity);
+  sys.EnableFlightRecorder(kRecorderCapacity);
 
   ReplayArtifacts art;
   art.result = sys.Run();
   art.trace_json = sys.hv().tracer().ToChromeJson();
   art.profile = CollapsedStackProfile(sys.hv().tracer().Snapshot());
+  art.narrative = sys.hv().flight_recorder().PinnedText();
 
   std::string out = "{";
   out += "\"schema\":\"nlh-dossier-v1\"";
@@ -155,21 +157,20 @@ ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg, std::uint64_t run_id,
   return art;
 }
 
-std::string WriteDossier(const core::RunConfig& base_cfg, std::uint64_t run_id,
-                         const std::string& dir, const ReplayOptions& opts) {
+std::string WriteDossier(const std::string& dossier_json, std::uint64_t run_id,
+                         const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return "";
 
-  const ReplayArtifacts art = ReplayRun(base_cfg, run_id, opts);
   const std::string path =
       (std::filesystem::path(dir) / ("run_" + std::to_string(run_id) + ".json"))
           .string();
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return "";
-  const std::size_t n = std::fwrite(art.dossier_json.data(), 1,
-                                    art.dossier_json.size(), f);
-  const bool ok = (n == art.dossier_json.size()) && (std::fclose(f) == 0);
+  const std::size_t n =
+      std::fwrite(dossier_json.data(), 1, dossier_json.size(), f);
+  const bool ok = (n == dossier_json.size()) && (std::fclose(f) == 0);
   return ok ? path : "";
 }
 

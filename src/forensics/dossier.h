@@ -1,7 +1,7 @@
 // Failure dossiers: one self-contained JSON bundle per interesting run,
 // assembled by deterministically *replaying* the run with full telemetry on.
 //
-// Campaigns run with the flight recorder, tracer, and logger off for speed;
+// Campaigns run with the flight recorder and tracer off for speed;
 // when a run fails (or recovers with latent corruption) the campaign tool
 // re-executes that exact run — same RunConfig, seed == run_id — with the
 // recorder and tracer enabled. Determinism of the simulator guarantees the
@@ -21,7 +21,6 @@
 #include "core/campaign.h"
 #include "core/config.h"
 #include "core/outcome.h"
-#include "sim/log.h"
 
 namespace nlh::forensics {
 
@@ -30,18 +29,12 @@ namespace nlh::forensics {
 // successful recovery carrying latent corruption, or silent data corruption.
 bool DossierWorthy(const core::RunResult& r);
 
-struct ReplayOptions {
-  std::size_t recorder_capacity = 256;   // per-CPU flight recorder ring
-  std::size_t trace_capacity = 4096;     // trace span ring
-  sim::LogLevel log_level = sim::LogLevel::kNone;  // stderr logging (replay CLI)
-  bool audit = true;  // force the state audit on so dossiers carry findings
-};
-
 struct ReplayArtifacts {
   core::RunResult result;
   std::string dossier_json;  // the full failure dossier (see dossier.cc)
   std::string trace_json;    // Chrome trace_event JSON of the replay
   std::string profile;       // collapsed-stack cost-attribution profile
+  std::string narrative;     // FlightRecorder::PinnedText() of the replay
 };
 
 // Dossier JSON building blocks, exposed so other emitters (the scenario
@@ -53,13 +46,13 @@ std::string InjectionJson(const core::RunResult& r);
 std::string DetectionJson(const core::RunResult& r);  // "null" if undetected
 
 // Deterministically re-executes run `run_id` of `base_cfg` (seed := run_id)
-// with the flight recorder + tracer enabled and assembles the artifacts.
-ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg, std::uint64_t run_id,
-                          const ReplayOptions& opts = {});
+// with the flight recorder, tracer and state audit enabled and assembles
+// the artifacts.
+ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg, std::uint64_t run_id);
 
-// Replays `run_id` and writes its dossier to `dir/run_<run_id>.json`,
-// creating `dir` if missing. Returns the written path, or "" on I/O failure.
-std::string WriteDossier(const core::RunConfig& base_cfg, std::uint64_t run_id,
-                         const std::string& dir, const ReplayOptions& opts = {});
+// Writes a replay's `dossier_json` to `dir/run_<run_id>.json`, creating
+// `dir` if missing. Returns the written path, or "" on I/O failure.
+std::string WriteDossier(const std::string& dossier_json, std::uint64_t run_id,
+                         const std::string& dir);
 
 }  // namespace nlh::forensics

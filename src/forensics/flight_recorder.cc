@@ -1,5 +1,7 @@
 #include "forensics/flight_recorder.h"
 
+#include <cstdio>
+
 #include "sim/json.h"
 
 namespace nlh::forensics {
@@ -30,7 +32,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kDeath: return "death";
     case EventKind::kDomainCreate: return "domain_create";
     case EventKind::kDomainDestroy: return "domain_destroy";
-    case EventKind::kLogLine: return "log_line";
     case EventKind::kCount: break;
   }
   return "?";
@@ -130,6 +131,26 @@ std::uint64_t FlightRecorder::dropped() const {
     if (r.count > r.slots.size()) d += r.count - r.slots.size();
   }
   return d;
+}
+
+std::string FlightRecorder::PinnedText() const {
+  std::string out;
+  char buf[64];
+  for (const FlightEvent& ev : pinned_) {
+    const std::string cpu = ev.cpu < 0 ? "-" : "cpu" + std::to_string(ev.cpu);
+    std::snprintf(buf, sizeof(buf), "  [%10.3f ms] %-18s %-5s ",
+                  sim::ToMillisF(ev.at), EventKindName(ev.kind), cpu.c_str());
+    out += buf;
+    out += ev.detail;
+    if (ev.kind == EventKind::kRecoveryPhase) {
+      std::snprintf(buf, sizeof(buf), " (%.3f ms)",
+                    sim::ToMillisF(static_cast<sim::Duration>(ev.arg1)));
+      out += buf;
+    }
+    while (out.back() == ' ') out.pop_back();  // no detail: no padding
+    out += '\n';
+  }
+  return out;
 }
 
 void FlightRecorder::SetDetectionSnapshot(std::string json) {

@@ -54,7 +54,6 @@ enum class EventKind : std::uint8_t {
   kDeath,          // platform marked dead (arg0=FailureReason)
   kDomainCreate,
   kDomainDestroy,
-  kLogLine,        // sim::Logger line routed into the recorder (arg0=level)
   kCount,
 };
 
@@ -99,6 +98,10 @@ class FlightRecorder {
   static bool IsPinnedKind(EventKind kind);
   const std::vector<FlightEvent>& pinned() const { return pinned_; }
   std::uint64_t pinned_dropped() const { return pinned_dropped_; }
+  // The run's narrative: one line per pinned event in record order —
+  // simulated time, kind slug, cpu and detail (plus the modeled latency of
+  // a recovery_phase). Empty when nothing was pinned.
+  std::string PinnedText() const;
 
   int num_cpus() const { return num_cpus_; }
   std::uint64_t recorded() const { return recorded_; }

@@ -75,8 +75,6 @@ class AppVmKernel : public GuestKernel {
   const std::vector<OutstandingIo>& blk_outstanding() const {
     return blk_outstanding_;
   }
-  std::uint64_t next_io_id() const { return next_io_id_; }
-  const BlkRing* blk_ring() const { return blk_ring_; }
 
   // Snapshot/restore (sim/state_image.h). Ring pointers are wiring (the
   // rings are owned by the core layer and captured there); everything that

@@ -175,8 +175,6 @@ class NetPeer {
   std::uint64_t sent() const { return sent_; }
   std::uint64_t received() const { return received_; }
   sim::Duration period() const { return period_; }
-  sim::Time stop_at() const { return stop_at_; }
-  const std::vector<sim::Time>& reply_times() const { return reply_times_; }
 
   // Longest interval between consecutive replies — the paper's
   // service-interruption measurement (Section VII-B).

@@ -5,7 +5,6 @@ namespace nlh::guest {
 hv::GuestRunResult GuestKernel::RunSlice(hv::VcpuId vcpu,
                                          sim::Duration budget) {
   (void)vcpu;
-  ++run_slices_;
   hv::GuestRunResult r;
   if (crashed_) {
     r.action = hv::GuestRunResult::Action::kIdle;

@@ -47,8 +47,6 @@ class GuestKernel : public hv::GuestInterface {
   int syscall_failures() const { return syscall_failures_; }
   int io_errors() const { return io_errors_; }
   bool process_failed() const { return process_failed_; }
-  // Number of RunSlice invocations (diagnostics).
-  std::uint64_t run_slices() const { return run_slices_; }
 
   // The paper's per-benchmark failure criteria fold into this:
   // VM affected = kernel crash, corrupted output, failed syscalls, or a
@@ -85,7 +83,6 @@ class GuestKernel : public hv::GuestInterface {
     v(slice_budget_);
     v(slice_used_);
     v(block_requested_);
-    v(run_slices_);
     v(crashed_);
     v(crash_reason_);
     v(memory_corrupted_);
@@ -138,7 +135,6 @@ class GuestKernel : public hv::GuestInterface {
 
   // Burns guest-mode CPU time within the current slice.
   void Compute(sim::Duration d) { slice_used_ += d; }
-  sim::Duration SliceUsed() const { return slice_used_; }
   bool BudgetLeft() const { return slice_used_ < slice_budget_; }
 
   void CrashKernel(const std::string& why);
@@ -189,7 +185,6 @@ class GuestKernel : public hv::GuestInterface {
   sim::Duration slice_used_ = 0;
   bool block_requested_ = false;
 
-  std::uint64_t run_slices_ = 0;
   bool crashed_ = false;
   std::string crash_reason_;
   bool memory_corrupted_ = false;

@@ -179,7 +179,6 @@ bool PrivVmKernel::AdvanceNetRxOp() {
         // frontend drains (its reply kicks wake us). Sustained
         // backpressure eventually overflows the NIC queue instead —
         // exactly where a real netback pushes the loss.
-        ++rx_ring_backpressure_;
         return true;  // op stays active at this phase
       }
       op.phase = 2;

@@ -44,7 +44,6 @@ class PrivVmKernel : public GuestKernel {
   // Asks the toolstack to create a VM; `done` fires after unpause.
   void RequestCreateVm(hw::CpuId pin_cpu, std::uint64_t frames,
                        std::function<void(hv::DomainId)> done);
-  bool create_in_progress() const { return create_.active; }
 
   // --- Fault-injection surface ---------------------------------------------
   // A wild hypervisor write into PrivVM state crashes the PrivVM kernel the
@@ -74,8 +73,6 @@ class PrivVmKernel : public GuestKernel {
 
   std::uint64_t ios_served() const { return ios_served_; }
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
-  // Times an RX push hit a full frontend ring and had to be retried.
-  std::uint64_t rx_ring_backpressure() const { return rx_ring_backpressure_; }
 
   // Snapshot/restore (sim/state_image.h). Connection tables are included:
   // they grow when the toolstack attaches a newly created VM's frontend,
@@ -94,7 +91,6 @@ class PrivVmKernel : public GuestKernel {
     v(ios_served_);
     v(packets_forwarded_);
     v(ops_since_rebalance_);
-    v(rx_ring_backpressure_);
     v(rebalance_pending_);
     v(kernel_state_corrupted_);
   }
@@ -169,7 +165,6 @@ class PrivVmKernel : public GuestKernel {
   std::uint64_t ios_served_ = 0;
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t ops_since_rebalance_ = 0;
-  std::uint64_t rx_ring_backpressure_ = 0;
   bool rebalance_pending_ = false;
   bool kernel_state_corrupted_ = false;
 };

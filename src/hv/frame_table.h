@@ -91,13 +91,6 @@ class FrameTable {
     NLH_INTEGRITY_NOTE(ledger_, integrity::Surface::kFrameTable);
   }
 
-  // Raw counter adjustment for undo-log replay (no assertions: the undo
-  // path restores a value that the assert-bearing path may reject).
-  void AdjustUseCount(FrameNumber f, std::int32_t delta) {
-    frames_[f].use_count += delta;
-    NLH_INTEGRITY_NOTE(ledger_, integrity::Surface::kFrameTable);
-  }
-
   // --- Page-table validation ----------------------------------------------
 
   // pin: validate a guest page as a page table.
@@ -117,11 +110,6 @@ class FrameTable {
     HvAssert(d.validated, "invalidating a non-validated page table");
     d.validated = false;
     d.type = FrameType::kDomainPage;
-    NLH_INTEGRITY_NOTE(ledger_, integrity::Surface::kFrameTable);
-  }
-
-  void SetValidated(FrameNumber f, bool v) {
-    frames_[f].validated = v;
     NLH_INTEGRITY_NOTE(ledger_, integrity::Surface::kFrameTable);
   }
 

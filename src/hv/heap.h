@@ -114,7 +114,6 @@ class HvHeap {
   // Corrupts the page-accounting counters (stray write): the allocated
   // count no longer matches the object census.
   void CorruptAccounting() { ++allocated_pages_; }
-  bool free_list_corrupted() const { return corrupted_; }
 
   // Integrity check used by tests and post-run validation.
   bool CheckFreeListIntegrity() const;

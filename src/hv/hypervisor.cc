@@ -901,9 +901,6 @@ void Hypervisor::ReportError(DetectionEvent event) {
   if (recorder_.enabled() && !recorder_.has_detection_snapshot()) {
     recorder_.SetDetectionSnapshot(DetectionSnapshotJson(*this, event));
   }
-  platform_.log().Log(sim::LogLevel::kError, event.when, "detect",
-                      std::string(DetectionKindName(event.kind)) + " on cpu" +
-                          std::to_string(event.cpu) + ": " + event.detail);
   if (dead_) return;
   if (in_error_report_) {
     MarkDead(FailureReason::kNestedError,
@@ -943,8 +940,6 @@ void Hypervisor::MarkDead(FailureReason reason, const std::string& detail) {
       .Inc();
   NLH_RECORD(forensics::EventKind::kDeath, -1,
              static_cast<std::uint64_t>(reason), 0, death_reason_);
-  platform_.log().Log(sim::LogLevel::kError, Now(), "hv",
-                      "system dead: " + death_reason_);
 }
 
 void Hypervisor::OnNmi(hw::CpuId cpu) {
@@ -956,10 +951,6 @@ void Hypervisor::FreezeForRecovery(hw::CpuId detector) {
   ++recovery_attempts_;
   c_recoveries_.Inc();
   tracer_.Instant("hv.freeze_for_recovery", detector, Now());
-  platform_.log().Log(sim::LogLevel::kInfo, Now(), "recover",
-                      "freezing all CPUs (detector cpu" +
-                          std::to_string(detector) + ", attempt " +
-                          std::to_string(recovery_attempts_) + ")");
   frozen_ = true;
   for (int c = 0; c < platform_.num_cpus(); ++c) {
     hw::Cpu& cp = platform_.cpu(c);
@@ -1012,43 +1003,6 @@ void Hypervisor::ResumeAfterRecovery(sim::Time resume_at, bool reprogram_apics) 
     }
     for (int c = 0; c < platform_.num_cpus(); ++c) KickCpu(c);
   });
-}
-
-// ---------------------------------------------------------------------------
-// Audit (tests / diagnostics)
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> Hypervisor::AuditState() const {
-  std::vector<std::string> issues;
-  const std::uint64_t bad_frames = frames_.CountInconsistent();
-  if (bad_frames > 0) {
-    issues.push_back("frame table: " + std::to_string(bad_frames) +
-                     " inconsistent descriptors");
-  }
-  if (!heap_.CheckFreeListIntegrity()) {
-    issues.push_back("heap: free list corrupt");
-  }
-  for (std::size_t c = 0; c < percpu_.size(); ++c) {
-    if (!RunqueueValid(percpu_[c], vcpus_)) {
-      issues.push_back("runqueue invalid on cpu" + std::to_string(c));
-    }
-    if (percpu_[c].local_irq_count != 0) {
-      issues.push_back("cpu" + std::to_string(c) + ": stranded irq count " +
-                       std::to_string(percpu_[c].local_irq_count));
-    }
-  }
-  if (!SchedMetadataConsistent(percpu_, vcpus_)) {
-    issues.push_back("scheduling metadata inconsistent");
-  }
-  const int held = static_locks_.HeldCount() + heap_.HeldLockCount();
-  if (held > 0) {
-    issues.push_back(std::to_string(held) + " locks held");
-  }
-  if (statics_.CorruptedCount() > 0) {
-    issues.push_back(std::to_string(statics_.CorruptedCount()) +
-                     " corrupted static variables");
-  }
-  return issues;
 }
 
 }  // namespace nlh::hv

@@ -193,9 +193,7 @@ class Hypervisor {
   // (which cleared the heaps).
   void RebuildTimerSubsystem();
   bool frozen() const { return frozen_; }
-  bool recovery_in_progress() const { return frozen_; }
   int recovery_attempts() const { return recovery_attempts_; }
-  void set_max_recovery_attempts(int n) { max_recovery_attempts_ = n; }
 
   // Injected corruption of state the recovery routine itself depends on
   // (Section VII-A failure reason 1).
@@ -264,9 +262,6 @@ class Hypervisor {
   void WakeVcpu(VcpuId v);
   // Runs the scheduler on `cpu` (softirq context). Returns the chosen vCPU.
   VcpuId Schedule(OpContext& ctx, hw::CpuId cpu);
-  // Post-recovery integrity sweep used by tests/examples (not by recovery
-  // itself): returns a human-readable list of detected inconsistencies.
-  std::vector<std::string> AuditState() const;
 
   // Runtime (hypercall-driven) domain destruction support.
   void DestroyDomainInternal(OpContext& ctx, DomainId id);
@@ -351,7 +346,6 @@ class Hypervisor {
     v(death_reason_);
     v(last_hang_reason_);
     v(recovery_attempts_);
-    v(max_recovery_attempts_);
     v(in_error_report_);
     v(first_detection_);
     v(has_first_detection_);
@@ -480,7 +474,6 @@ class Hypervisor {
   std::string last_hang_reason_;
   bool recovery_path_ok_ = true;
   int recovery_attempts_ = 0;
-  int max_recovery_attempts_ = 3;
   bool in_error_report_ = false;
   DetectionEvent first_detection_;
   bool has_first_detection_ = false;

@@ -46,9 +46,6 @@ class ApicTimer {
   bool armed() const { return armed_; }
   sim::Time deadline() const { return deadline_; }
 
-  // Number of times the timer has fired; used by tests.
-  std::uint64_t fire_count() const { return fire_count_; }
-
   // Snapshot/restore (sim/state_image.h). Only valid as part of a
   // full-system restore that also restores the event queue: `pending_` is
   // an EventId into the queue, meaningless on any other timeline.
@@ -57,7 +54,6 @@ class ApicTimer {
     v(pending_);
     v(armed_);
     v(deadline_);
-    v(fire_count_);
   }
 
  private:
@@ -66,7 +62,6 @@ class ApicTimer {
                static_cast<std::uint64_t>(deadline_));
     pending_ = sim::kInvalidEvent;
     armed_ = false;  // one-shot: silent until reprogrammed
-    ++fire_count_;
     on_fire_(cpu_);
   }
 
@@ -76,7 +71,6 @@ class ApicTimer {
   sim::EventId pending_ = sim::kInvalidEvent;
   bool armed_ = false;
   sim::Time deadline_ = 0;
-  std::uint64_t fire_count_ = 0;
 };
 
 }  // namespace nlh::hw

@@ -65,7 +65,6 @@ class Cpu {
   }
 
   bool online() const { return online_; }
-  void set_online(bool o) { online_ = o; }
 
   // --- Counters ---------------------------------------------------------
   // Retired-instruction count while executing hypervisor code; the fault

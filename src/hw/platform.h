@@ -19,7 +19,6 @@
 #include "hw/memory.h"
 #include "hw/perf_counter.h"
 #include "sim/event_queue.h"
-#include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -47,7 +46,6 @@ class Platform {
 
   sim::EventQueue& queue() { return queue_; }
   sim::Rng& rng() { return rng_; }
-  sim::Logger& log() { return log_; }
   sim::Time Now() const { return queue_.Now(); }
 
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
@@ -81,13 +79,6 @@ class Platform {
     if (hv_step_hook_) hv_step_hook_(cpu, instructions);
   }
 
-  // Sends an inter-processor interrupt.
-  void SendIpi(CpuId target, Vector v) {
-    NLH_RECORD(forensics::EventKind::kIpi, target,
-               static_cast<std::uint64_t>(v));
-    intc_.Raise(target, v);
-  }
-
   // Snapshot/restore (sim/state_image.h): all hardware state except the
   // event queue, which the caller captures/restores separately
   // (EventQueue::CaptureImage — callbacks need cloning, not copying).
@@ -105,7 +96,6 @@ class Platform {
   PlatformConfig config_;
   sim::EventQueue queue_;
   sim::Rng rng_;
-  sim::Logger log_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<ApicTimer>> apics_;
   InterruptController intc_;

@@ -132,10 +132,6 @@ void FaultInjector::ApplyPlant(std::size_t index) {
   NLH_RECORD(forensics::EventKind::kCorruptionApplied, -1,
              static_cast<std::uint64_t>(plant.target), 1,
              "planted:" + std::string(CorruptionTargetName(plant.target)));
-  hv_.platform().log().Log(
-      sim::LogLevel::kDebug, hv_.Now(), "inject",
-      "planted latent corruption: " +
-          std::string(CorruptionTargetName(plant.target)));
   // Each plant draws from its own stream, derived from the injector seed —
   // never from rng_, whose draw order the fault trigger owns. Dropping or
   // reordering plants during shrinking therefore perturbs neither the other
@@ -171,10 +167,6 @@ void FaultInjector::Fire(hw::Cpu& cpu) {
   NLH_RECORD(forensics::EventKind::kInjectionFired, cpu.id(),
              static_cast<std::uint64_t>(plan_.type), 0,
              std::string(FaultTypeName(plan_.type)));
-  hv_.platform().log().Log(
-      sim::LogLevel::kDebug, hv_.Now(), "inject",
-      std::string(FaultTypeName(plan_.type)) + " fault fired on cpu" +
-          std::to_string(cpu.id()));
 
   const OutcomeMix mix = MixFor(plan_.type);
   const double roll = rng_.Uniform();

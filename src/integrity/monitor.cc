@@ -105,21 +105,4 @@ void EpochMonitor::Tick() {
   base_counts_ = counts;
 }
 
-void EpochMonitor::ResetForRun() {
-  epoch_ = 0;
-  have_baseline_ = false;
-  base_hash_.fill(0);
-  base_counts_.fill(0);
-  base_recoveries_ = 0;
-  drift_count_ = 0;
-  first_drift_epoch_ = -1;
-  first_drift_at_ = 0;
-  first_drift_surface_ = Surface::kFrameTable;
-  drift_trail_ = kHashSeed;
-  last_root_ = 0;
-  drift_per_surface_.fill(0);
-  drifts_.clear();
-  started_ = false;
-}
-
 }  // namespace nlh::integrity

@@ -64,10 +64,6 @@ class EpochMonitor {
   // One epoch boundary (normally fired by the recurring event).
   void Tick();
 
-  // Fresh-run reset (campaign host reuse): forget the baseline, epoch
-  // counter, drift history and trail, and re-arm on the next Start().
-  void ResetForRun();
-
   std::uint64_t epochs() const { return epoch_; }
   std::uint64_t drift_count() const { return drift_count_; }
   bool has_drift() const { return drift_count_ != 0; }

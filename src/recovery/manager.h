@@ -12,6 +12,10 @@
 
 namespace nlh::recovery {
 
+// Recoveries a run may attempt before the system is declared dead. The
+// PrivVM component path (core/target_system.cc) uses the same cap.
+inline constexpr int kMaxRecoveryAttempts = 3;
+
 class RecoveryManager {
  public:
   RecoveryManager(hv::Hypervisor& hv, std::unique_ptr<RecoveryMechanism> mech,
@@ -51,19 +55,12 @@ class RecoveryManager {
       if (on_failed_) on_failed_(ev, hv::FailureReason::kNoMechanism, 0);
       return;
     }
-    if (hv_.recovery_attempts() >= max_attempts_) {
+    if (hv_.recovery_attempts() >= kMaxRecoveryAttempts) {
       hv_.MarkDead(hv::FailureReason::kAttemptLimitReached, ev.detail);
       if (on_failed_) on_failed_(ev, hv::FailureReason::kAttemptLimitReached, 0);
       return;
     }
     RecoveryReport report = mech_->Recover(ev);
-    hv_.platform().log().Log(
-        sim::LogLevel::kInfo, hv_.Now(), "recover",
-        mech_->Name() + (report.gave_up ? " gave up: " + report.give_up_reason
-                                        : " completed in " +
-                                              std::to_string(sim::ToMillisF(
-                                                  report.total())) +
-                                              "ms"));
     if (!report.gave_up && hang_detector_ != nullptr) {
       // Reset the watchdog history when the system resumes so the frozen
       // interval is not mistaken for a hang.
@@ -79,11 +76,7 @@ class RecoveryManager {
 
   const std::vector<RecoveryReport>& reports() const { return reports_; }
   const hv::DetectionEvent& last_detection() const { return last_detection_; }
-  const std::string& last_detection_reason() const {
-    return last_detection_.detail;
-  }
   RecoveryMechanism* mechanism() { return mech_.get(); }
-  void set_max_attempts(int n) { max_attempts_ = n; }
 
   // Snapshot/restore (sim/state_image.h): a rewind discards reports of
   // recoveries that have not happened on the restored timeline.
@@ -102,7 +95,6 @@ class RecoveryManager {
   FailedObserver on_failed_;
   std::vector<RecoveryReport> reports_;
   hv::DetectionEvent last_detection_;
-  int max_attempts_ = 3;
 };
 
 }  // namespace nlh::recovery

@@ -39,7 +39,6 @@ class RejuvenationPolicy {
   }
 
   int threshold() const { return threshold_; }
-  std::uint64_t drifts_seen() const { return drifts_seen_; }
   int triggers() const { return triggers_; }
 
   // Snapshot/restore (sim/state_image.h).

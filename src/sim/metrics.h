@@ -108,10 +108,11 @@ class Histogram {
   std::vector<double> samples_;
 };
 
-// Pre-resolved handles: resolve once at setup (MetricsRegistry::*HandleFor),
-// then the hot path is a single pointer dereference. A default-constructed
-// handle is inert (valid() == false); using an invalid handle is UB, so
-// hot-path call sites resolve in their constructor.
+// Pre-resolved counter handle: resolve once at setup
+// (MetricsRegistry::CounterHandleFor), then the hot path is a single pointer
+// dereference. A default-constructed handle is inert (valid() == false);
+// using an invalid handle is UB, so hot-path call sites resolve in their
+// constructor.
 class CounterHandle {
  public:
   CounterHandle() = default;
@@ -123,31 +124,6 @@ class CounterHandle {
 
  private:
   Counter* c_ = nullptr;
-};
-
-class GaugeHandle {
- public:
-  GaugeHandle() = default;
-  explicit GaugeHandle(Gauge* g) : g_(g) {}
-  void Set(double v) { g_->Set(v); }
-  void Add(double delta) { g_->Add(delta); }
-  bool valid() const { return g_ != nullptr; }
-  Gauge* get() const { return g_; }
-
- private:
-  Gauge* g_ = nullptr;
-};
-
-class HistogramHandle {
- public:
-  HistogramHandle() = default;
-  explicit HistogramHandle(Histogram* h) : h_(h) {}
-  void Observe(double v) { h_->Observe(v); }
-  bool valid() const { return h_ != nullptr; }
-  Histogram* get() const { return h_; }
-
- private:
-  Histogram* h_ = nullptr;
 };
 
 class MetricsRegistry {
@@ -170,12 +146,6 @@ class MetricsRegistry {
 
   CounterHandle CounterHandleFor(const std::string& name) {
     return CounterHandle(&GetCounter(name));
-  }
-  GaugeHandle GaugeHandleFor(const std::string& name) {
-    return GaugeHandle(&GetGauge(name));
-  }
-  HistogramHandle HistogramHandleFor(const std::string& name) {
-    return HistogramHandle(&GetHistogram(name));
   }
 
   const Counter* FindCounter(const std::string& name) const {

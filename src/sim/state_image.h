@@ -33,8 +33,6 @@ class StateImage {
     cursor_ = 0;
   }
   void Rewind() { cursor_ = 0; }
-  bool Exhausted() const { return cursor_ == fields_.size(); }
-  std::size_t FieldCount() const { return fields_.size(); }
   bool Empty() const { return fields_.empty(); }
 
   template <typename T>

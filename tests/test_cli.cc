@@ -31,6 +31,18 @@ CliResult RunTool(const std::string& args) {
   return r;
 }
 
+// The whole file, or "" if it cannot be opened.
+std::string ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return "";
+  std::string content;
+  char buf[1024];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  std::fclose(f);
+  return content;
+}
+
 TEST(CampaignToolCli, UnknownFlagExitsNonzeroWithUsage) {
   const CliResult r = RunTool("--bogus-flag");
   EXPECT_EQ(r.exit_code, 2);
@@ -168,13 +180,7 @@ TEST(CampaignToolCli, IntegrityOutWritesCampaignAndReplaySummary) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("integrity report written"), std::string::npos)
       << r.output;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[1024];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
+  const std::string content = ReadFile(path);
   std::remove(path.c_str());
   EXPECT_NE(content.find("\"integrity\":{"), std::string::npos);
   EXPECT_NE(content.find("\"replay_seed0_integrity\":{"), std::string::npos);
@@ -263,16 +269,36 @@ TEST(CampaignToolCli, FleetRunsEndToEndAndWritesJson) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("violation-minutes"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("admitted"), std::string::npos) << r.output;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[1024];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
+  const std::string content = ReadFile(path);
   std::remove(path.c_str());
   EXPECT_NE(content.find("\"fleet\":{"), std::string::npos);
   EXPECT_NE(content.find("\"violation_minutes\":"), std::string::npos);
+}
+
+TEST(CampaignToolCli, ReplayPrintsNarrativeAndWritesTheCampaignsDossier) {
+  // Without a mechanism the detected run 1000 dies, so the campaign writes
+  // its dossier; replaying that run alone must write the same bytes.
+  const std::string a = ::testing::TempDir() + "replay_cli_campaign";
+  const std::string b = ::testing::TempDir() + "replay_cli_replay";
+  const CliResult campaign = RunTool(
+      "--mechanism=none --runs=3 --seed=1000 --dossier-dir=" + a);
+  EXPECT_EQ(campaign.exit_code, 0) << campaign.output;
+  const CliResult replay =
+      RunTool("--mechanism=none --replay=1000 --dossier-dir=" + b);
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
+  const std::string from_campaign = ReadFile(a + "/run_1000.json");
+  const std::string from_replay = ReadFile(b + "/run_1000.json");
+  for (const std::string& dir : {a, b}) {
+    std::remove((dir + "/run_1000.json").c_str());
+    std::remove(dir.c_str());
+  }
+  ASSERT_FALSE(from_campaign.empty()) << campaign.output;
+  EXPECT_EQ(from_replay, from_campaign);
+#ifndef NLH_NO_FLIGHT_RECORDER
+  // The narrative's detection line: time, slug, cpu.
+  EXPECT_NE(replay.output.find(" ms] detection "), std::string::npos)
+      << replay.output;
+#endif
 }
 
 TEST(CampaignToolCli, CorpusCheckPassesOnTheCommittedCorpus) {

@@ -17,7 +17,6 @@
 #include "forensics/record.h"
 #include "hv/hypervisor.h"
 #include "sim/json.h"
-#include "sim/log.h"
 #include "sim/metrics.h"
 #include "sim/trace.h"
 
@@ -211,7 +210,75 @@ TEST(FlightRecorderWeave, DetectedRunCapturesInjectionAndDetection) {
   }
   FAIL() << "no detected run among seeds 1..32";
 }
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t from = 0;
+  for (std::size_t nl; (nl = text.find('\n', from)) != std::string::npos;
+       from = nl + 1) {
+    out.push_back(text.substr(from, nl - from));
+  }
+  EXPECT_EQ(from, text.size()) << "narrative must end with a newline";
+  return out;
+}
+
+bool Has(const std::string& line, const std::string& what) {
+  return line.find(what) != std::string::npos;
+}
+
+// quickstart's NiLiHype run: the narrative is the pinned channel, one line
+// per event, and tells the paper's sequence — injection, panic, detection,
+// then every recovery step with its modeled latency.
+TEST(FlightRecorderNarrative, QuickstartRunTellsInjectionDetectionRecovery) {
+  core::RunConfig cfg;
+  cfg.mechanism = core::Mechanism::kNiLiHype;
+  cfg.fault = inject::FaultType::kFailstop;
+  cfg.seed = 7;
+  core::TargetSystem sys(cfg);
+  sys.EnableFlightRecorder();
+  const core::RunResult r = sys.Run();
+  ASSERT_TRUE(r.detected);
+  ASSERT_TRUE(r.success);
+
+  const forensics::FlightRecorder& rec = sys.hv().flight_recorder();
+  const std::vector<std::string> lines = Lines(rec.PinnedText());
+  ASSERT_EQ(lines.size(), rec.pinned().size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_TRUE(Has(lines[i], forensics::EventKindName(rec.pinned()[i].kind)))
+        << lines[i];
+  }
+
+  ASSERT_GE(lines.size(), 3 + r.recovery_phases.size());
+  EXPECT_TRUE(Has(lines[0], "injection_fired")) << lines[0];
+  EXPECT_TRUE(Has(lines[1], "panic_raised")) << lines[1];
+  EXPECT_TRUE(Has(lines[2], "detection")) << lines[2];
+  std::vector<std::string> phases;
+  for (const std::string& line : lines) {
+    if (!Has(line, "recovery_phase")) continue;
+    phases.push_back(line);
+    if (Has(line, "frame_table_scan")) {
+      EXPECT_TRUE(Has(line, "(21.001 ms)")) << line;
+    }
+  }
+  ASSERT_EQ(phases.size(), r.recovery_phases.size());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_TRUE(Has(phases[i], " " + r.recovery_phases[i].phase + " ("))
+        << phases[i];
+  }
+  // The recovery steps directly follow the detection.
+  EXPECT_TRUE(Has(lines[3], "recovery_phase")) << lines[3];
+}
 #endif
+
+TEST(FlightRecorderNarrative, RecorderOffGivesEmptyText) {
+  core::RunConfig cfg;
+  cfg.mechanism = core::Mechanism::kNiLiHype;
+  cfg.fault = inject::FaultType::kFailstop;
+  cfg.seed = 7;
+  core::TargetSystem sys(cfg);
+  ASSERT_TRUE(sys.Run().detected);
+  EXPECT_EQ(sys.hv().flight_recorder().PinnedText(), "");
+}
 
 // --- JSON parser ------------------------------------------------------------
 
@@ -366,36 +433,6 @@ TEST(Profiler, OrphanParentsAndZeroSelfTimeSpans) {
   b.name = "cover";
   spans.push_back(b);
   EXPECT_EQ(forensics::CollapsedStackProfile(spans), "lonely;cover 10\n");
-}
-
-// --- Logger filtering + hook ------------------------------------------------
-
-TEST(Logger, ComponentLevelOverridesAndEventHook) {
-  sim::Logger log(sim::LogLevel::kInfo);
-  std::vector<std::string> sink;
-  log.SetSink(&sink);
-  log.SetComponentLevel("chatty", sim::LogLevel::kNone);
-  log.SetComponentLevel("quiet", sim::LogLevel::kDebug);
-
-  std::vector<std::string> hooked;
-  log.SetEventHook([&](sim::LogLevel, sim::Time, const std::string& comp,
-                       const std::string& msg) {
-    hooked.push_back(comp + "/" + msg);
-  });
-
-  log.Log(sim::LogLevel::kInfo, 0, "chatty", "dropped");
-  log.Log(sim::LogLevel::kDebug, 0, "other", "dropped (below global)");
-  log.Log(sim::LogLevel::kDebug, 0, "quiet", "kept (component override)");
-  log.Log(sim::LogLevel::kInfo, 0, "other", "kept");
-
-  ASSERT_EQ(hooked.size(), 2u);
-  EXPECT_EQ(hooked[0], "quiet/kept (component override)");
-  EXPECT_EQ(hooked[1], "other/kept");
-  EXPECT_EQ(sink.size(), 2u);  // hook fires for exactly the emitted lines
-
-  log.ClearComponentLevels();
-  log.Log(sim::LogLevel::kInfo, 0, "chatty", "audible again");
-  EXPECT_EQ(sink.size(), 3u);
 }
 
 // --- Dossiers + replay determinism -----------------------------------------

@@ -3,6 +3,7 @@
 // for (double-applied batch components, lost physdev rebalance).
 #include <gtest/gtest.h>
 
+#include "audit/state_auditor.h"
 #include "hv/hypervisor.h"
 #include "hv/panic.h"
 #include "recovery/recovery_common.h"
@@ -89,7 +90,7 @@ TEST_F(HypercallExtraTest, DomctlDestroyDetachesDomain) {
 TEST_F(HypercallExtraTest, ConsoleAndVersionAreHarmless) {
   EXPECT_EQ(Call(vcpu_, HypercallCode::kConsoleIo), 0u);
   EXPECT_EQ(Call(pvcpu_, HypercallCode::kVcpuOpUp), 0u);
-  EXPECT_TRUE(hv_.AuditState().empty());
+  EXPECT_EQ(audit::StateAuditor(hv_).Audit().CorruptionCount(), 0u);
 }
 
 TEST_F(HypercallExtraTest, PhysdevRebalanceLeavesRouteUnmasked) {

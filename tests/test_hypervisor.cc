@@ -2,6 +2,7 @@
 // undo logging, multicall progress, events, scheduling, IRQ accounting.
 #include <gtest/gtest.h>
 
+#include "audit/state_auditor.h"
 #include "hv/hypervisor.h"
 #include "hv/panic.h"
 
@@ -326,7 +327,7 @@ TEST_F(HypervisorTest, AuditCleanAfterNormalActivity) {
     Call(vcpu_, HypercallCode::kMmuUpdate, static_cast<std::uint64_t>(i), 1);
     Call(vcpu_, HypercallCode::kMmuUpdate, static_cast<std::uint64_t>(i), 0);
   }
-  EXPECT_TRUE(hv_.AuditState().empty());
+  EXPECT_EQ(audit::StateAuditor(hv_).Audit().CorruptionCount(), 0u);
 }
 
 }  // namespace

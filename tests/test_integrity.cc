@@ -192,18 +192,6 @@ TEST_F(IntegrityTest, DriftDetectorPromotesToDetectionEvent) {
   EXPECT_EQ(det.detections(), 1u);
 }
 
-TEST_F(IntegrityTest, ResetForRunClearsEverything) {
-  mon_.Tick();
-  hv_.percpu(3).local_irq_count = 2;
-  mon_.Tick();
-  ASSERT_EQ(mon_.drift_count(), 1u);
-  mon_.ResetForRun();
-  EXPECT_EQ(mon_.epochs(), 0u);
-  EXPECT_EQ(mon_.drift_count(), 0u);
-  EXPECT_EQ(mon_.first_drift_epoch(), -1);
-  EXPECT_TRUE(mon_.drifts().empty());
-}
-
 // --- Whole-system runs ------------------------------------------------------
 
 core::RunConfig BaseConfig(std::uint64_t seed) {

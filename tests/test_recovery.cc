@@ -221,16 +221,17 @@ TEST_F(RecoveryTest, ReHypeHaltsAndResumesCpus) {
 TEST_F(RecoveryTest, ManagerEnforcesAttemptLimit) {
   auto mech = std::make_unique<NiLiHype>(hv_, EnhancementSet::Full());
   RecoveryManager mgr(hv_, std::move(mech), nullptr);
-  mgr.set_max_attempts(2);
   mgr.Install();
-  hv_.ReportError(0, hv::DetectionKind::kPanic, "one");
-  platform_.queue().RunUntil(platform_.Now() + sim::Milliseconds(100));
-  hv_.ReportError(0, hv::DetectionKind::kPanic, "two");
-  platform_.queue().RunUntil(platform_.Now() + sim::Milliseconds(100));
-  EXPECT_FALSE(hv_.dead());
-  hv_.ReportError(0, hv::DetectionKind::kPanic, "three");
+  for (int i = 0; i < kMaxRecoveryAttempts; ++i) {
+    hv_.ReportError(0, hv::DetectionKind::kPanic, "recoverable");
+    platform_.queue().RunUntil(platform_.Now() + sim::Milliseconds(100));
+    EXPECT_FALSE(hv_.dead());
+  }
+  hv_.ReportError(0, hv::DetectionKind::kPanic, "one too many");
   EXPECT_TRUE(hv_.dead());
-  EXPECT_EQ(mgr.reports().size(), 2u);
+  EXPECT_EQ(hv_.death_code(), hv::FailureReason::kAttemptLimitReached);
+  EXPECT_EQ(mgr.reports().size(),
+            static_cast<std::size_t>(kMaxRecoveryAttempts));
 }
 
 // The shared Recover frame, run once per mechanism.
