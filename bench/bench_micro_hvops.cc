@@ -51,8 +51,7 @@ BENCHMARK(BM_HypercallMmuUpdate)->Arg(0)->Arg(1);
 // Flight-recorder cost on the hypercall hot path: Arg(0) recorder off (the
 // campaign configuration — one disabled-recorder branch per NLH_RECORD
 // site), Arg(1) recorder on (the forensic-replay configuration, full ring
-// writes). With -DNLH_FLIGHT_RECORDER=OFF both match the pre-recorder
-// baseline exactly: the macro compiles to ((void)0).
+// writes).
 void BM_HypercallRecorder(benchmark::State& state) {
   World w;
   if (state.range(0) != 0) {

@@ -2,8 +2,9 @@
 // hot paths that bound fault-injection campaign throughput —
 //   events/sec          raw EventQueue schedule/cancel/run mix
 //   hypercalls/sec      full hypercall dispatch on a booted hypervisor
-//   campaign runs/sec   end-to-end TargetSystem runs on the default
-//                       8-CPU / 3AppVM / failstop configuration
+//   campaign runs/sec   end-to-end cold TargetSystem runs (core::RunMany)
+//                       on the default 8-CPU / 3AppVM / failstop
+//                       configuration
 //   cold/warm steady runs/sec  the same run list on a steady-state
 //                       injection window, executed cold (fresh boot per
 //                       run) and warm-forked (core::RunManyWarmForked:
@@ -132,23 +133,22 @@ double HypercallsPerSec(std::uint64_t target_calls) {
   return static_cast<double>(target_calls) / secs;
 }
 
-// End-to-end campaign throughput on the paper-default target system. With
-// `integrity` the always-on epoch state-hash ladder runs every scheduler
-// tick; the on/off pair bounds the monitor's campaign-throughput overhead
-// (acceptance: <=10%).
+// End-to-end cold campaign throughput (fresh boot per run, core::RunMany)
+// on the paper-default target system. With `integrity` the always-on epoch
+// state-hash ladder runs every scheduler tick; the on/off pair bounds the
+// monitor's campaign-throughput overhead (acceptance: <=10%).
 double CampaignRunsPerSec(int runs, int threads, std::uint64_t seed0,
                           bool integrity = false) {
-  nlh::core::RunConfig cfg;  // 8 CPUs, 3AppVM, NiLiHype, failstop
-  cfg.integrity = integrity;
-  nlh::core::CampaignOptions opt;
-  opt.runs = runs;
-  opt.threads = threads;
-  opt.seed0 = seed0;
+  std::vector<nlh::core::RunConfig> configs;
+  for (int i = 0; i < runs; ++i) {
+    nlh::core::RunConfig cfg;  // 8 CPUs, 3AppVM, NiLiHype, failstop
+    cfg.seed = seed0 + static_cast<std::uint64_t>(i);
+    cfg.integrity = integrity;
+    configs.push_back(cfg);
+  }
   const auto t0 = Clock::now();
-  const nlh::core::CampaignResult res = nlh::core::RunCampaign(cfg, opt);
-  const double secs = SecondsSince(t0);
-  if (res.runs != runs) std::fprintf(stderr, "campaign run count mismatch\n");
-  return static_cast<double>(runs) / secs;
+  nlh::core::RunMany(configs, threads);
+  return static_cast<double>(runs) / SecondsSince(t0);
 }
 
 // Cold vs warm-forked execution of one identical run list on a

@@ -7,16 +7,15 @@
 //   campaign_tool [--mechanism=SLUG] [--fault=failstop|register|code]
 //                 [--setup=1appvm|3appvm] [--bench=unix|blk|net]
 //                 [--runs=N] [--seed=N] [--verbose]
-//                 [--snapshot-period=MS] [--warm-fork]
+//                 [--snapshot-period=MS]
 //
 // --mechanism accepts any slug in core::kMechanisms (core/config.h) and
 // rejects an unknown slug, listing the valid ones. Every integer flag takes
 // a plain decimal value; a malformed or out-of-range one exits 2.
-// --snapshot-period sets the snapres capture cadence. --warm-fork switches
-// the campaign to the warm-fork runner: per-worker template systems advance
-// through periodic full-system snapshots and every injection run forks off
-// the epoch preceding its trigger — bit-identical results, large speedup on
-// boot-dominated runs.
+// --snapshot-period sets the snapres capture cadence. Campaigns fork every
+// injection run off a warm template (core::RunCampaign), bit-identical to
+// booting each run cold. --verbose prints one line per run, in run order,
+// after the campaign finishes.
 //                 [--audit] [--audit-out=FILE.json]
 //                 [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //                 [--dossier-dir=DIR] [--replay=RUN_ID]
@@ -135,7 +134,7 @@ void Usage() {
       "usage: campaign_tool [options]\n"
       "  campaign: [--mechanism=SLUG] [--fault=failstop|register|code|memory]\n"
       "            [--setup=1appvm|3appvm] [--bench=unix|blk|net] [--runs=N]\n"
-      "            [--seed=N] [--threads=N] [--snapshot-period=MS] [--warm-fork]\n"
+      "            [--seed=N] [--threads=N] [--snapshot-period=MS]\n"
       "            [--privvm-recovery] [--privvm-plants[=OFFSET_US]] [--audit]\n"
       "            [--audit-out=FILE.json]\n"
       "            [--integrity] [--proactive[=THRESHOLD]]\n"
@@ -258,8 +257,6 @@ int main(int argc, char** argv) {
       ok = sim::ParseIntFlag("--snapshot-period", val("--snapshot-period="),
                              &ms, 1);
       cfg.snapshot_period = sim::Milliseconds(ms);
-    } else if (arg == "--warm-fork") {
-      opts.warm_fork = true;
     } else if (arg == "--fuzz-all-mechs") {
       fuzz_all_mechs = true;
     } else if (arg.rfind("--fault=", 0) == 0) {
@@ -575,18 +572,23 @@ int main(int argc, char** argv) {
               one_appvm ? "1AppVM" : "3AppVM", opts.runs,
               static_cast<unsigned long long>(opts.seed0));
 
-  // Run ids (== seeds) of runs that deserve a failure dossier, collected as
-  // the campaign goes (on_run is called under a lock).
+  // Per-run lines (--verbose) and the run ids (== seeds) of runs that
+  // deserve a failure dossier, collected as the campaign goes (on_run is
+  // called under a lock, in no fixed order) and used in run order after it.
+  std::vector<std::string> run_lines(
+      verbose ? static_cast<std::size_t>(opts.runs) : 0);
   std::vector<std::uint64_t> dossier_runs;
   if (verbose || !dossier_dir.empty()) {
     opts.on_run = [&](int i, const core::RunResult& r) {
       if (verbose) {
-        std::printf("  run %4d: %-14s %s%s\n", i,
-                    core::OutcomeClassName(r.outcome),
-                    r.outcome == core::OutcomeClass::kDetected
-                        ? (r.success ? "recovered" : "FAILED: ")
-                        : "",
-                    r.success ? "" : r.failure_detail.c_str());
+        char line[64];
+        std::snprintf(line, sizeof(line), "  run %4d: %-14s %s", i,
+                      core::OutcomeClassName(r.outcome),
+                      r.outcome == core::OutcomeClass::kDetected
+                          ? (r.success ? "recovered" : "FAILED: ")
+                          : "");
+        run_lines[static_cast<std::size_t>(i)] =
+            line + (r.success ? std::string() : r.failure_detail);
       }
       if (!dossier_dir.empty() && forensics::DossierWorthy(r)) {
         dossier_runs.push_back(opts.seed0 + static_cast<std::uint64_t>(i));
@@ -595,6 +597,7 @@ int main(int argc, char** argv) {
   }
 
   const core::CampaignResult res = core::RunCampaign(cfg, opts);
+  for (const std::string& line : run_lines) std::printf("%s\n", line.c_str());
   std::printf("\noutcomes: %.1f%% non-manifested, %.1f%% SDC, %.1f%% detected\n",
               res.NonManifestedRate() * 100, res.SdcRate() * 100,
               res.DetectedRate() * 100);

@@ -5,7 +5,6 @@ namespace nlh::audit {
 GoldenSnapshot GoldenSnapshot::Capture(hv::Hypervisor& hv) {
   GoldenSnapshot s;
   s.captured = true;
-  s.captured_at = hv.Now();
 
   s.frames_allocated = hv.frames().allocated_frames();
 
@@ -14,7 +13,6 @@ GoldenSnapshot GoldenSnapshot::Capture(hv::Hypervisor& hv) {
   s.heap_objects = heap.num_objects();
   for (const hv::HeapObject& obj : heap.objects()) {
     s.heap_object_ids.insert(obj.id);
-    ++s.heap_objects_by_tag[obj.tag];
   }
 
   for (int c = 0; c < hv.platform().num_cpus(); ++c) {
@@ -28,10 +26,7 @@ GoldenSnapshot GoldenSnapshot::Capture(hv::Hypervisor& hv) {
   for (const hv::Domain& dom : hv.domains()) {
     s.domains.insert(dom.id);
     s.open_event_ports += dom.evtchn.OpenCount();
-    s.mapped_grants += dom.grants.MappedCount();
   }
-
-  s.statics_corrupted = hv.statics().CorruptedCount();
   return s;
 }
 

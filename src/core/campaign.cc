@@ -309,10 +309,9 @@ CampaignResult RunCampaign(const RunConfig& config,
         options.seed0 + static_cast<std::uint64_t>(i);
   }
   const std::vector<RunResult> run_results =
-      options.warm_fork && config.inject
-          ? RunManyWarmForked(configs, options.threads, options.warm_epoch,
-                              options.on_run)
-          : RunMany(configs, options.threads, options.on_run);
+      config.inject ? RunManyWarmForked(configs, options.threads,
+                                        kWarmForkEpoch, options.on_run)
+                    : RunMany(configs, options.threads, options.on_run);
 
   std::map<FailureReason, int> reasons;
   // Phase samples in first-observed order (matches step execution order;

@@ -121,27 +121,24 @@ struct CampaignOptions {
   int runs = 500;
   std::uint64_t seed0 = 1000;
   int threads = 0;  // 0 = hardware concurrency
-  // Optional per-run callback (e.g. progress display); called under a lock.
+  // Optional per-run callback (e.g. progress display); called under a lock,
+  // in no fixed run order.
   std::function<void(int /*index*/, const RunResult&)> on_run;
-  // Warm-fork runner: instead of booting a fresh system per run, each
-  // worker advances one template system (built with injection disabled)
-  // through periodic full-system snapshots and forks every injection run
-  // off the snapshot epoch preceding its trigger time — the boot +
-  // workload-setup prefix is paid once per epoch, not once per run.
-  // Results are bit-identical to the cold runner (determinism goldens in
-  // tests/test_warm_fork.cc). Ignored when the config does not inject.
-  bool warm_fork = false;
-  sim::Duration warm_epoch = sim::Milliseconds(100);
 };
 
 // Runs every config in `configs` once, in parallel (atomic work-stealing
 // index, one RunArena per worker), and returns results indexed like the
 // input. The result vector is bit-identical regardless of thread count —
 // this is the primitive the scenario fuzzer's differential oracle batches
-// heterogeneous configs through, and RunCampaign delegates to it.
+// heterogeneous configs through, and RunCampaign runs non-injecting
+// campaigns through it.
 std::vector<RunResult> RunMany(
     const std::vector<RunConfig>& configs, int threads,
     const std::function<void(int, const RunResult&)>& on_run = {});
+
+// Spacing of the snapshot epochs RunCampaign and fleet::FleetSim::Run fork
+// their runs from.
+inline constexpr sim::Duration kWarmForkEpoch = sim::Milliseconds(100);
 
 // Warm-fork flavor of RunMany. Requires homogeneous configs: every entry
 // must equal configs[0] in everything but `seed`, `fault`, `inject`,
@@ -155,11 +152,13 @@ std::vector<RunResult> RunMany(
 // to RunMany's regardless of thread count.
 std::vector<RunResult> RunManyWarmForked(
     const std::vector<RunConfig>& configs, int threads,
-    sim::Duration epoch = sim::Milliseconds(100),
+    sim::Duration epoch = kWarmForkEpoch,
     const std::function<void(int, const RunResult&)>& on_run = {});
 
 // Runs `options.runs` independent runs of `config` (seeds seed0, seed0+1,
-// ...) in parallel and aggregates.
+// ...) in parallel and aggregates. An injecting config runs through
+// RunManyWarmForked (boot + workload setup paid once per epoch, not once
+// per run), any other through RunMany; both give the same results.
 CampaignResult RunCampaign(const RunConfig& config,
                            const CampaignOptions& options);
 

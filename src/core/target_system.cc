@@ -178,17 +178,17 @@ void TargetSystem::Build() {
     const int iters = (config_.bench_1appvm == guest::BenchmarkKind::kBlkBench)
                           ? config_.blkbench_files
                           : config_.unixbench_iterations;
-    AddAppVm(config_.bench_1appvm, iters, /*cpu=*/1, /*via_toolstack=*/false);
+    AddAppVm(config_.bench_1appvm, iters, /*cpu=*/1);
     initial_appvm_count_ = 1;
   } else {
     AddAppVm(guest::BenchmarkKind::kUnixBench, config_.unixbench_iterations,
-             /*cpu=*/1, /*via_toolstack=*/false);
+             /*cpu=*/1);
     AddAppVm(guest::BenchmarkKind::kNetBench, /*iterations=*/1 << 30,
-             /*cpu=*/config_.share_cpu ? 1 : 2, /*via_toolstack=*/false);
+             /*cpu=*/config_.share_cpu ? 1 : 2);
     initial_appvm_count_ = 2;
     if (config_.vm3_at_start) {
       AddAppVm(guest::BenchmarkKind::kBlkBench, config_.blkbench_files,
-               /*cpu=*/3, /*via_toolstack=*/false);
+               /*cpu=*/3);
       initial_appvm_count_ = 3;
       vm3_attempted_ = true;  // no post-recovery creation in this variant
     }
@@ -235,15 +235,10 @@ void TargetSystem::Build() {
 }
 
 guest::AppVmKernel* TargetSystem::AddAppVm(guest::BenchmarkKind kind,
-                                           int iterations, hw::CpuId cpu,
-                                           bool via_toolstack,
-                                           hv::DomainId precreated) {
-  (void)via_toolstack;
-  hv::DomainId id = precreated;
-  if (id == hv::kInvalidDomain) {
-    id = hv_->CreateDomainDirect(std::string(guest::BenchmarkName(kind)),
-                                 /*privileged=*/false, cpu, /*frames=*/64);
-  }
+                                           int iterations, hw::CpuId cpu) {
+  const hv::DomainId id =
+      hv_->CreateDomainDirect(std::string(guest::BenchmarkName(kind)),
+                              /*privileged=*/false, cpu, /*frames=*/64);
   auto vm = std::make_unique<guest::AppVmKernel>(
       *hv_, guest::BenchmarkName(kind),
       config_.seed ^ (0x1000ULL + static_cast<std::uint64_t>(id)), kind,

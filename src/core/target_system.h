@@ -63,9 +63,8 @@ class TargetSystem {
   // forensics/flight_recorder.h). Call before Run(); export with
   // hv().flight_recorder().ToJson(), or print the run's narrative with
   // hv().flight_recorder().PinnedText().
-  void EnableFlightRecorder(
-      std::size_t per_cpu_capacity = forensics::FlightRecorder::kDefaultCapacity) {
-    hv_->flight_recorder().Enable(platform_->num_cpus(), per_cpu_capacity);
+  void EnableFlightRecorder() {
+    hv_->flight_recorder().Enable(platform_->num_cpus());
   }
 
   // --- Component access (tests, examples, benches) --------------------------
@@ -138,8 +137,7 @@ class TargetSystem {
 
   void Build();
   guest::AppVmKernel* AddAppVm(guest::BenchmarkKind kind, int iterations,
-                               hw::CpuId cpu, bool via_toolstack,
-                               hv::DomainId precreated = hv::kInvalidDomain);
+                               hw::CpuId cpu);
   void WireBlk(guest::AppVmKernel* vm);
   void WireNet(guest::AppVmKernel* vm);
   // Creates a pair of bound interdomain event ports; returns {app_port,

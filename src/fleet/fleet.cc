@@ -127,7 +127,10 @@ FleetResult FleetSim::Run(int threads) {
     c.seed = ev.run_seed;
     configs.push_back(c);
   }
-  const std::vector<core::RunResult> results = core::RunMany(configs, threads);
+  // A host config that injects nothing has no trigger to fork at.
+  const std::vector<core::RunResult> results =
+      config_.host_config.inject ? core::RunManyWarmForked(configs, threads)
+                                 : core::RunMany(configs, threads);
   std::vector<HostRecoveryEvent> events;
   events.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {

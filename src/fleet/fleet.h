@@ -7,9 +7,10 @@
 //
 //   Phase A (parallel) — every fault event drawn from the per-host fault
 //   process becomes one full TargetSystem injection run (the host "wraps"
-//   today's single-host simulator), executed through core::RunMany's
-//   work-stealing pool. Per-run seeds derive from the master seed alone,
-//   so this phase is bit-identical at any thread count.
+//   today's single-host simulator), forked off a warm template through
+//   core::RunManyWarmForked. Per-run seeds derive from the master seed
+//   alone, so this phase is bit-identical at any thread count, and equal
+//   to running every event cold through core::RunMany.
 //
 //   Phase B (sequential) — the per-run outcomes are folded onto the fleet
 //   timeline: a clean recovery is a brief full outage (detection +
@@ -184,10 +185,11 @@ class FleetSim {
   std::vector<FaultEvent> BuildFaultSchedule() const;
 
   // Full simulation: schedule faults, run one TargetSystem injection run
-  // per event through core::RunMany (phase A, parallel), then fold the
-  // outcomes onto the fleet timeline and account tenant traffic (phase B,
-  // sequential). threads == 0 uses hardware concurrency; the result is
-  // identical either way.
+  // per event through core::RunManyWarmForked (phase A, parallel; RunMany
+  // when host_config does not inject), then fold the outcomes onto the
+  // fleet timeline and account tenant traffic (phase B, sequential).
+  // threads == 0 uses hardware concurrency; the result is identical either
+  // way.
   FleetResult Run(int threads = 0);
 
   // Phase B alone, with caller-supplied recovery events — the seam the

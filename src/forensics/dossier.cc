@@ -126,15 +126,14 @@ std::string DetectionJson(const core::RunResult& r) {
 
 ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg,
                           std::uint64_t run_id) {
-  constexpr std::size_t kRecorderCapacity = 256;  // per-CPU ring
-  constexpr std::size_t kTraceCapacity = 4096;    // span ring
+  constexpr std::size_t kTraceCapacity = 4096;  // span ring
   core::RunConfig cfg = base_cfg;
   cfg.seed = run_id;
   cfg.audit = true;  // so every dossier carries the audit findings
 
   core::TargetSystem sys(cfg);
   sys.EnableTracing(kTraceCapacity);
-  sys.EnableFlightRecorder(kRecorderCapacity);
+  sys.EnableFlightRecorder();
 
   ReplayArtifacts art;
   art.result = sys.Run();

@@ -4,10 +4,9 @@
 // event sequence leading to the crash; this records it as it happens).
 //
 // Recording sites are woven through hw/, hv/, inject/, detect/ and
-// recovery/ behind the NLH_RECORD(...) macro (forensics/record.h), which
-// compiles out entirely under -DNLH_NO_FLIGHT_RECORDER (CMake option
-// NLH_FLIGHT_RECORDER=OFF). The recorder stamps simulated time itself via
-// an injected clock callback, so call-sites never need a time source.
+// recovery/ behind the NLH_RECORD(...) macro (forensics/record.h). The
+// recorder stamps simulated time itself via an injected clock callback, so
+// call-sites never need a time source.
 //
 // Hardware-layer components (SpinLock, ApicTimer, InterruptController)
 // have no back-pointer to the hypervisor that owns the recorder; instead a

@@ -6,18 +6,9 @@
 // any string construction for `detail` — are evaluated only when a recorder
 // is installed AND enabled, so the disabled-at-runtime cost is one
 // thread-local load and a branch.
-//
-// Compiling with -DNLH_NO_FLIGHT_RECORDER (CMake -DNLH_FLIGHT_RECORDER=OFF)
-// expands every hook to ((void)0): zero code in the hot paths.
 #pragma once
 
 #include "forensics/flight_recorder.h"
-
-#ifdef NLH_NO_FLIGHT_RECORDER
-
-#define NLH_RECORD(kind, cpu, ...) ((void)0)
-
-#else
 
 #define NLH_RECORD(kind, cpu, ...)                                    \
   do {                                                                \
@@ -27,5 +18,3 @@
       nlh_rec_->Record((kind), (cpu)__VA_OPT__(, ) __VA_ARGS__);      \
     }                                                                 \
   } while (0)
-
-#endif

@@ -5,9 +5,9 @@
 // determine where faults land: the share of retirement spent in hypercall
 // handlers vs. the scheduler vs. the timer-softirq path directly produces
 // the increments between rows of Table I. The absolute scale (together
-// with hw::PlatformConfig::ns_per_instruction) determines the <5% fraction
-// of CPU cycles spent in the hypervisor (Section VII-A) and the Figure 3
-// overhead percentages.
+// with hw::kNsPerInstruction) determines the <5% fraction of CPU cycles
+// spent in the hypervisor (Section VII-A) and the Figure 3 overhead
+// percentages.
 #pragma once
 
 #include <cstdint>

@@ -72,18 +72,9 @@ std::string DetectionSnapshotJson(Hypervisor& hv, const DetectionEvent& ev) {
 // not advance inside a slice). No-op when tracing is disabled.
 class CtxSpan {
  public:
-  // Hot-path form: the name was interned once at Hypervisor construction,
-  // so this costs one branch when tracing is disabled.
+  // The name was interned once at Hypervisor construction, so this costs
+  // one branch when tracing is disabled.
   CtxSpan(Hypervisor& hv, const OpContext& ctx, sim::NameId name,
-          hw::CpuId cpu)
-      : hv_(hv), ctx_(ctx) {
-    if (hv.tracer().enabled()) {
-      start_ = hv.Now();
-      instr0_ = ctx.instructions();
-      id_ = hv.tracer().Begin(name, cpu, start_);
-    }
-  }
-  CtxSpan(Hypervisor& hv, const OpContext& ctx, const std::string& name,
           hw::CpuId cpu)
       : hv_(hv), ctx_(ctx) {
     if (hv.tracer().enabled()) {
@@ -112,7 +103,7 @@ class CtxSpan {
 Hypervisor::Hypervisor(hw::Platform& platform, const HvConfig& config)
     : platform_(platform),
       config_(config),
-      frames_(config.frame_table_frames),
+      frames_(kFrameTableFrames),
       heap_(frames_) {
   c_hypercalls_ = metrics_.CounterHandleFor("hv.hypercalls");
   c_syscall_forwards_ = metrics_.CounterHandleFor("hv.syscall_forwards");
@@ -175,10 +166,10 @@ void Hypervisor::Boot() {
   for (PerCpuData& pc : percpu_) static_locks_.Register(&pc.sched_lock);
 
   frames_.ResetAll();
-  heap_.Init(config_.heap_pages);
+  heap_.Init(kHeapPages);
   statics_.ResetAll();
 
-  vcpus_.reserve(static_cast<std::size_t>(config_.max_vcpus));
+  vcpus_.reserve(static_cast<std::size_t>(kMaxVcpus));
 
   for (int c = 0; c < ncpus; ++c) {
     RegisterRecurringTimers(c);
@@ -195,7 +186,7 @@ void Hypervisor::Boot() {
 DomainId Hypervisor::CreateDomainDirect(const std::string& name,
                                         bool privileged, hw::CpuId pinned_cpu,
                                         std::uint64_t num_frames) {
-  HvAssert(static_cast<int>(vcpus_.size()) < config_.max_vcpus,
+  HvAssert(static_cast<int>(vcpus_.size()) < kMaxVcpus,
            "vCPU capacity exhausted");
   const DomainId id = next_domid_++;
   Domain dom;
@@ -268,12 +259,12 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
   // hang is detected, with pathological consequences for recovery).
   const sim::Duration phase =
       sim::Microseconds(730) * (cpu + 1) +
-      (cpu * config_.watchdog_tick_period) / (platform_.num_cpus() + 1);
+      (cpu * kWatchdogTickPeriod) / (platform_.num_cpus() + 1);
 
   SoftTimer wd;
   wd.name = "watchdog_tick";
-  wd.deadline = now + config_.watchdog_tick_period + phase;
-  wd.period = config_.watchdog_tick_period;
+  wd.deadline = now + kWatchdogTickPeriod + phase;
+  wd.period = kWatchdogTickPeriod;
   wd.is_system_recurring = true;
   wd.callback = [this, cpu] {
     ++percpu_[static_cast<std::size_t>(cpu)].watchdog_soft_count;
@@ -283,8 +274,8 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
 
   SoftTimer ts;
   ts.name = "time_sync";
-  ts.deadline = now + config_.time_sync_period + phase * 3;
-  ts.period = config_.time_sync_period;
+  ts.deadline = now + kTimeSyncPeriod + phase * 3;
+  ts.period = kTimeSyncPeriod;
   ts.is_system_recurring = true;
   ts.callback = [this] { statics_.Use(StaticVar::kTscKhz); };
   th.Insert(ts);
@@ -292,8 +283,8 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
   if (sched_tick_enabled_[static_cast<std::size_t>(cpu)]) {
     SoftTimer st;
     st.name = "sched_tick";
-    st.deadline = now + config_.sched_tick_period + phase;
-    st.period = config_.sched_tick_period;
+    st.deadline = now + kSchedTickPeriod + phase;
+    st.period = kSchedTickPeriod;
     st.is_system_recurring = true;
     st.callback = [this, cpu] { need_resched_[static_cast<std::size_t>(cpu)] = true; };
     th.Insert(st);
@@ -307,9 +298,8 @@ void Hypervisor::StartSchedTick(hw::CpuId cpu) {
   if (!th.ContainsName("sched_tick")) {
     SoftTimer st;
     st.name = "sched_tick";
-    st.deadline = Now() + config_.sched_tick_period +
-                  sim::Microseconds(613) * (cpu + 1);
-    st.period = config_.sched_tick_period;
+    st.deadline = Now() + kSchedTickPeriod + sim::Microseconds(613) * (cpu + 1);
+    st.period = kSchedTickPeriod;
     st.is_system_recurring = true;
     st.callback = [this, cpu] { need_resched_[static_cast<std::size_t>(cpu)] = true; };
     th.Insert(st);
@@ -352,16 +342,16 @@ int Hypervisor::ReactivateRecurringEvents() {
   tracer_.Instant("hv.reactivate_recurring_events", 0, Now());
   int missing = 0;
   for (int c = 0; c < platform_.num_cpus(); ++c) {
-    EnsureRecurring(c, "watchdog_tick", config_.watchdog_tick_period,
+    EnsureRecurring(c, "watchdog_tick", kWatchdogTickPeriod,
                     [this, c] {
                       ++percpu_[static_cast<std::size_t>(c)].watchdog_soft_count;
                       NLH_INTEGRITY_NOTE(&ledger_, integrity::Surface::kPerCpu);
                     },
                     &missing);
-    EnsureRecurring(c, "time_sync", config_.time_sync_period,
+    EnsureRecurring(c, "time_sync", kTimeSyncPeriod,
                     [this] { statics_.Use(StaticVar::kTscKhz); }, &missing);
     if (sched_tick_enabled_[static_cast<std::size_t>(c)]) {
-      EnsureRecurring(c, "sched_tick", config_.sched_tick_period,
+      EnsureRecurring(c, "sched_tick", kSchedTickPeriod,
                       [this, c] { need_resched_[static_cast<std::size_t>(c)] = true; },
                       &missing);
     }
@@ -469,7 +459,7 @@ void Hypervisor::RunCpuSlice(hw::CpuId cpu) {
       Domain* dom = FindDomain(vc.domain);
       if (dom != nullptr && dom->guest != nullptr && dom->alive()) {
         const GuestRunResult r =
-            dom->guest->RunSlice(curr, config_.guest_slice_budget);
+            dom->guest->RunSlice(curr, kGuestSliceBudget);
         guest_time = r.used;
         if (pc.curr == curr) pc.curr_ran = true;
         if (r.action == GuestRunResult::Action::kBlock ||

@@ -72,15 +72,16 @@ struct HvStats {
   std::uint64_t recoveries = 0;
 };
 
+inline constexpr std::uint64_t kHeapPages = 2048;  // heap size (sim frames)
+inline constexpr std::uint64_t kFrameTableFrames = 16384;  // frame-table window
+inline constexpr sim::Duration kSchedTickPeriod = sim::Milliseconds(10);
+inline constexpr sim::Duration kWatchdogTickPeriod = sim::Milliseconds(100);
+inline constexpr sim::Duration kTimeSyncPeriod = sim::Milliseconds(500);
+inline constexpr sim::Duration kGuestSliceBudget = sim::Microseconds(500);
+inline constexpr int kMaxVcpus = 64;
+
 struct HvConfig {
   RuntimeOptions runtime;
-  std::uint64_t heap_pages = 2048;    // hypervisor heap size (sim frames)
-  std::uint64_t frame_table_frames = 16384;  // mechanical frame-table window
-  sim::Duration sched_tick_period = sim::Milliseconds(10);
-  sim::Duration watchdog_tick_period = sim::Milliseconds(100);
-  sim::Duration time_sync_period = sim::Milliseconds(500);
-  sim::Duration guest_slice_budget = sim::Microseconds(500);
-  int max_vcpus = 64;
 };
 
 class Hypervisor {
@@ -202,7 +203,6 @@ class Hypervisor {
 
   // --- State access (recovery, injection, tests, benches) --------------------
   hw::Platform& platform() { return platform_; }
-  const HvConfig& config() const { return config_; }
   RuntimeOptions& options() { return config_.runtime; }
   StaticDataSegment& statics() { return statics_; }
   StaticLockRegistry& static_locks() { return static_locks_; }
@@ -310,7 +310,7 @@ class Hypervisor {
       std::vector<Vcpu> saved;
       v(saved);
       // Assign in place, never swap buffers: vcpus_ was reserved to
-      // max_vcpus at boot and references into it must stay stable
+      // kMaxVcpus at boot and references into it must stay stable
       // (Hypercall holds a Vcpu& across Dispatch, and a dispatched
       // domain-create appends to this array). Swapping in the loaded
       // vector would shrink capacity to size and make the next append

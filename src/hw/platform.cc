@@ -7,7 +7,7 @@ Platform::Platform(const PlatformConfig& config, std::uint64_t seed)
       rng_(seed),
       intc_(config.num_cpus),
       memory_(PhysicalMemory::FromGiB(config.memory_gib)),
-      watchdog_nmi_(queue_, config.num_cpus, config.watchdog_nmi_period,
+      watchdog_nmi_(queue_, config.num_cpus, kWatchdogNmiPeriod,
                     [this](CpuId c) { intc_.DeliverNmi(c); }) {
   cpus_.reserve(static_cast<std::size_t>(config.num_cpus));
   apics_.reserve(static_cast<std::size_t>(config.num_cpus));

@@ -24,13 +24,14 @@
 
 namespace nlh::hw {
 
+// Simulated execution speed: simulated-ns of CPU time per retired
+// hypervisor instruction. 2.5 GHz, ~1 IPC.
+inline constexpr double kNsPerInstruction = 0.4;
+inline constexpr sim::Duration kWatchdogNmiPeriod = sim::Milliseconds(100);
+
 struct PlatformConfig {
   int num_cpus = 8;            // paper: 8-core Nehalem hosts
   std::uint64_t memory_gib = 8;  // paper: 8 GB (Section VII-B)
-  // Simulated execution speed: simulated-ns of CPU time per retired
-  // hypervisor instruction. 2.5 GHz, ~1 IPC.
-  double ns_per_instruction = 0.4;
-  sim::Duration watchdog_nmi_period = sim::Milliseconds(100);
 
   bool operator==(const PlatformConfig&) const = default;
 };
@@ -59,11 +60,11 @@ class Platform {
 
   sim::Duration DurationForInstructions(std::uint64_t n) const {
     return static_cast<sim::Duration>(
-        static_cast<double>(n) * config_.ns_per_instruction);
+        static_cast<double>(n) * kNsPerInstruction);
   }
   std::uint64_t CyclesForDuration(sim::Duration d) const {
     return static_cast<std::uint64_t>(static_cast<double>(d) /
-                                      config_.ns_per_instruction);
+                                      kNsPerInstruction);
   }
 
   // --- Hooks -------------------------------------------------------------

@@ -10,28 +10,22 @@ namespace {
 constexpr std::size_t kMaxRetainedDrifts = 256;
 }  // namespace
 
-EpochMonitor::EpochMonitor(hv::Hypervisor& hv, sim::Duration period)
+EpochMonitor::EpochMonitor(hv::Hypervisor& hv)
     : hv_(hv),
-      period_(period > 0 ? period : hv.config().sched_tick_period),
       span_epoch_(hv.tracer().InternName(sim::kSpanIntegrityEpoch)),
       span_drift_(hv.tracer().InternName(sim::kSpanIntegrityDrift)),
       c_epochs_(hv.metrics().CounterHandleFor("integrity.epochs")),
       c_drifts_(hv.metrics().CounterHandleFor("integrity.drifts")) {}
 
 void EpochMonitor::Start() {
-#ifdef NLH_NO_INTEGRITY
-  // The mutation ledger compiles out: every legitimate mutation would be
-  // indistinguishable from drift. Observability is off; stay unarmed.
-  return;
-#else
   if (started_) return;
   started_ = true;
   ScheduleEpoch();
-#endif
 }
 
 void EpochMonitor::ScheduleEpoch() {
-  hv_.platform().queue().ScheduleAfter(period_, [this] { Tick(); });
+  hv_.platform().queue().ScheduleAfter(hv::kSchedTickPeriod,
+                                       [this] { Tick(); });
 }
 
 void EpochMonitor::Rebaseline(const LadderSnapshot& snap) {

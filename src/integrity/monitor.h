@@ -1,6 +1,6 @@
 // The epoch monitor: always-on integrity observability for one hypervisor.
 //
-// Every scheduler epoch (default: the sched-tick period) a recurring,
+// Every scheduler epoch (hv::kSchedTickPeriod) a recurring,
 // zero-simulated-cost event recomputes the nine-surface hash ladder
 // (integrity/ladder.h) and compares each rung against the previous epoch
 // *jointly* with the mutation ledger (integrity/mutation_ledger.h):
@@ -48,17 +48,13 @@ struct DriftEvent {
 
 class EpochMonitor {
  public:
-  // period == 0 uses the hypervisor's scheduler-tick period.
-  explicit EpochMonitor(hv::Hypervisor& hv, sim::Duration period = 0);
+  explicit EpochMonitor(hv::Hypervisor& hv);
 
   using DriftHandler = std::function<void(const DriftEvent&)>;
   void SetOnDrift(DriftHandler handler) { on_drift_ = std::move(handler); }
 
   // Schedules the recurring epoch event. Idempotent per monitor; the
   // pending event lives in the simulation queue and is forked with it.
-  // Under -DNLH_NO_INTEGRITY the mutation ledger records nothing, so the
-  // monitor must not arm (every legitimate mutation would read as drift);
-  // Start() is then a no-op.
   void Start();
 
   // One epoch boundary (normally fired by the recurring event).
@@ -105,7 +101,6 @@ class EpochMonitor {
   void Rebaseline(const LadderSnapshot& snap);
 
   hv::Hypervisor& hv_;
-  sim::Duration period_;
   DriftHandler on_drift_;
   sim::NameId span_epoch_ = 0;
   sim::NameId span_drift_ = 0;

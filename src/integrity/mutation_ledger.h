@@ -7,9 +7,7 @@
 // mutators (injection uses raw accessors such as mutable_desc /
 // CorruptFreeList / CorruptEntry / Corrupt).
 //
-// Recording is a single pointer test plus an array increment, and compiles
-// out entirely under -DNLH_NO_INTEGRITY (CMake option NLH_INTEGRITY=OFF),
-// matching the NLH_FLIGHT_RECORDER pattern in forensics/record.h.
+// Recording is a single pointer test plus an array increment.
 #pragma once
 
 #include <array>
@@ -49,12 +47,8 @@ class MutationLedger {
 // integrity::MutationLedger*; structures owned by a Hypervisor get theirs
 // wired at boot, free-standing structures (unit tests) keep nullptr and
 // the note is a single branch.
-#ifdef NLH_NO_INTEGRITY
-#define NLH_INTEGRITY_NOTE(ledger, surface) ((void)0)
-#else
 #define NLH_INTEGRITY_NOTE(ledger, surface)                         \
   do {                                                              \
     ::nlh::integrity::MutationLedger* nlh_ml_ = (ledger);           \
     if (nlh_ml_ != nullptr) nlh_ml_->Note(surface);                 \
   } while (0)
-#endif

@@ -36,9 +36,7 @@ using NameId = std::uint32_t;
 
 // Canonical integrity span names. The epoch monitor (integrity/monitor.cc)
 // interns these once at construction and emits instants by NameId, so the
-// per-epoch hot path never builds a string; under -DNLH_NO_INTEGRITY the
-// monitor itself is never armed, matching the NLH_FLIGHT_RECORDER
-// compile-out pattern.
+// per-epoch hot path never builds a string.
 inline constexpr const char kSpanIntegrityEpoch[] = "integrity:epoch";
 inline constexpr const char kSpanIntegrityDrift[] = "integrity:drift";
 

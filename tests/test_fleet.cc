@@ -2,13 +2,14 @@
 // cases, evacuation-on-failed-recovery, SLO accounting under outages and
 // degraded tenants, the traffic model's portable math, and the headline
 // determinism contract — the same master seed reproduces the fleet summary
-// byte-for-byte at 1, 4, and 8 threads.
+// byte-for-byte at 1, 4, and 8 threads, and equal to phase A run cold.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "fleet/fleet.h"
 #include "sim/json.h"
 #include "sim/rng.h"
@@ -439,6 +440,48 @@ TEST(FleetEndToEnd, SummaryIsByteIdenticalAtOneFourAndEightThreads) {
   EXPECT_EQ(r1.Summary(), r8.Summary());
   EXPECT_EQ(r1.ToJson(), r4.ToJson());
   EXPECT_EQ(r1.ToJson(), r8.ToJson());
+}
+
+// Phase A run cold: every scheduled fault boots fresh through core::RunMany,
+// then is classified and folded by phase B.
+FleetResult ColdPipeline(const FleetSim& sim) {
+  const std::vector<fleet::FaultEvent> schedule = sim.BuildFaultSchedule();
+  std::vector<core::RunConfig> configs;
+  for (const fleet::FaultEvent& ev : schedule) {
+    core::RunConfig c = sim.config().host_config;
+    c.mechanism = sim.config().mechanism;
+    c.seed = ev.run_seed;
+    configs.push_back(c);
+  }
+  const std::vector<core::RunResult> results = core::RunMany(configs, 4);
+  std::vector<HostRecoveryEvent> events;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    events.push_back(fleet::ClassifyHostRun(schedule[i], results[i]));
+  }
+  return sim.ApplyEvents(events);
+}
+
+TEST(FleetEndToEnd, WarmForkedRunMatchesColdPipelineForEveryMechanism) {
+  // Register faults add non-manifested, SDC and latent outcomes to the
+  // failstop ones.
+  for (const inject::FaultType fault :
+       {inject::FaultType::kFailstop, inject::FaultType::kRegister}) {
+    for (const core::MechanismInfo& m : core::kMechanisms) {
+      FleetConfig cfg;
+      cfg.hosts = 20;
+      cfg.tenants_per_host = 5;
+      cfg.horizon_s = 1800;
+      cfg.mechanism = m.mechanism;
+      cfg.host_config.fault = fault;
+      FleetSim sim(cfg);
+      const std::string what =
+          std::string(m.slug) + " " + inject::FaultTypeName(fault);
+      const FleetResult cold = ColdPipeline(sim);
+      EXPECT_GT(cold.faults_scheduled, 0) << what;
+      EXPECT_EQ(sim.Run(1).ToJson(), cold.ToJson()) << what;
+      EXPECT_EQ(sim.Run(4).ToJson(), cold.ToJson()) << what;
+    }
+  }
 }
 
 TEST(FleetEndToEnd, NiLiHypeRecoversWithPaperScaleOutages) {

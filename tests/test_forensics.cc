@@ -115,12 +115,8 @@ TEST(FlightRecorder, MacroRespectsCurrentRecorderAndEnableState) {
   rec.Enable(1);
   NLH_RECORD(forensics::EventKind::kIpi, 0, 1, 2, "zap");
   NLH_RECORD(forensics::EventKind::kIpi, 0);  // zero-arg variant compiles
-#ifdef NLH_NO_FLIGHT_RECORDER
-  EXPECT_EQ(rec.recorded(), 0u);
-#else
   ASSERT_EQ(rec.recorded(), 2u);
   EXPECT_EQ(rec.SnapshotCpu(0)[0].detail, "zap");
-#endif
 }
 
 TEST(FlightRecorder, ScopeToleratesNonLifoDestruction) {
@@ -162,17 +158,12 @@ TEST(FlightRecorderWeave, HypercallAndScheduleEventsAppear) {
       kinds.insert(ev.kind);
     }
   }
-#ifdef NLH_NO_FLIGHT_RECORDER
-  EXPECT_TRUE(kinds.empty());
-#else
   EXPECT_TRUE(kinds.count(forensics::EventKind::kHypercallEnter));
   EXPECT_TRUE(kinds.count(forensics::EventKind::kHypercallExit));
   EXPECT_TRUE(kinds.count(forensics::EventKind::kLockAcquire));
   EXPECT_TRUE(kinds.count(forensics::EventKind::kLockRelease));
-#endif
 }
 
-#ifndef NLH_NO_FLIGHT_RECORDER
 TEST(FlightRecorderWeave, DetectedRunCapturesInjectionAndDetection) {
   core::RunConfig cfg = core::RunConfig::OneAppVm(guest::BenchmarkKind::kUnixBench);
   cfg.fault = inject::FaultType::kFailstop;
@@ -268,7 +259,6 @@ TEST(FlightRecorderNarrative, QuickstartRunTellsInjectionDetectionRecovery) {
   // The recovery steps directly follow the detection.
   EXPECT_TRUE(Has(lines[3], "recovery_phase")) << lines[3];
 }
-#endif
 
 TEST(FlightRecorderNarrative, RecorderOffGivesEmptyText) {
   core::RunConfig cfg;
@@ -479,9 +469,7 @@ TEST(Dossier, ReplayIsByteIdenticalAndParses) {
   EXPECT_TRUE(doc.Find("trace")->Find("traceEvents")->IsArray());
   if (a.result.detected) {
     EXPECT_FALSE(doc.Find("detection")->IsNull());
-#ifndef NLH_NO_FLIGHT_RECORDER
     EXPECT_TRUE(doc.Find("recorder")->Find("detection_snapshot")->IsObject());
-#endif
   }
 }
 

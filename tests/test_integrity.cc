@@ -95,8 +95,6 @@ TEST_F(IntegrityTest, QuietEpochsNoDrift) {
   EXPECT_EQ(hv_.metrics().GetCounter("integrity.drifts").value(), 0u);
 }
 
-#ifndef NLH_NO_INTEGRITY
-
 TEST_F(IntegrityTest, LegitimateMutationIsExplained) {
   mon_.Tick();
   // A real hypervisor-path mutation (noted via the ledger): no drift.
@@ -500,8 +498,6 @@ TEST(IntegrityOracleTest, VerdictJsonConditional) {
             std::string::npos);
   EXPECT_NE(json.find("\"first_drift_epoch\":3"), std::string::npos);
 }
-
-#endif  // !NLH_NO_INTEGRITY
 
 }  // namespace
 }  // namespace nlh

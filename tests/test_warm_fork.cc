@@ -117,20 +117,27 @@ TEST(WarmForkGolden, AuditedRunsMatchCold) {
   ExpectWarmMatchesCold(configs);
 }
 
-TEST(WarmForkCampaign, AggregateMatchesColdCampaign) {
-  RunConfig cfg;
-  cfg.mechanism = Mechanism::kNiLiHype;
-
-  CampaignOptions cold_opts;
-  cold_opts.runs = 16;
-  cold_opts.seed0 = 7000;
-  cold_opts.threads = 4;
-  CampaignOptions warm_opts = cold_opts;
-  warm_opts.warm_fork = true;
-
-  const CampaignResult cold = RunCampaign(cfg, cold_opts);
-  const CampaignResult warm = RunCampaign(cfg, warm_opts);
-  EXPECT_EQ(warm.ToJson(), cold.ToJson());
+TEST(WarmForkCampaign, EveryCampaignRunMatchesRunMany) {
+  // RunCampaign forks injecting campaigns warm on its own; each run it
+  // hands to on_run must equal the cold run of the same seed.
+  const std::vector<RunConfig> configs =
+      MakeConfigs(Mechanism::kNiLiHype, 16, 7000);
+  const std::vector<RunResult> cold = RunMany(configs, /*threads=*/1);
+  for (int threads : {1, 4}) {
+    std::vector<std::string> runs(configs.size());
+    CampaignOptions opts;
+    opts.runs = static_cast<int>(configs.size());
+    opts.seed0 = 7000;
+    opts.threads = threads;
+    opts.on_run = [&runs](int i, const RunResult& r) {
+      runs[static_cast<std::size_t>(i)] = Canon(r);
+    };
+    RunCampaign(configs[0], opts);
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+      EXPECT_EQ(runs[i], Canon(cold[i])) << "threads=" << threads
+                                         << " run=" << i;
+    }
+  }
 }
 
 // --- Homogeneity contract -----------------------------------------------------
