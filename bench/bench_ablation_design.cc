@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
       cfg.mechanism = core::Mechanism::kNiLiHype;
       cfg.fault = inject::FaultType::kFailstop;
       cfg.enhancements.frame_table_scan = v.scan;
-      cfg.latency_model.frame_scan_parallelism = v.parallelism;
+      cfg.enhancements.frame_scan_parallelism = v.parallelism;
       cfg.seed = 1;
       core::TargetSystem one(cfg);
       const core::RunResult single = one.Run();

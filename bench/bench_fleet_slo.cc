@@ -42,23 +42,6 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Fixed integer workload used to normalize the throughput metric across
-// machines (same idiom as bench_sim_core).
-double CalibMops() {
-  constexpr std::uint64_t kIters = 1u << 26;
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x *= 0x2545f4914f6cdd1dULL;
-  }
-  const double secs = SecondsSince(t0);
-  if (x == 0) std::fprintf(stderr, "calib degenerate\n");
-  return static_cast<double>(kIters) / secs / 1e6;
-}
-
 struct MechRow {
   std::string slug;
   nlh::fleet::FleetResult result;
@@ -104,7 +87,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
       baseline_path = arg + 11;
     } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      gate_pct = std::atof(arg + 11);
+      ok = nlh::bench::ParseGatePct(arg + 11, &gate_pct);
     } else if (std::strncmp(arg, "--hosts=", 8) == 0) {
       ok = nlh::sim::ParseIntFlag("--hosts", arg + 8, &hosts, 1);
     } else if (std::strncmp(arg, "--tenants=", 10) == 0) {
@@ -117,6 +100,9 @@ int main(int argc, char** argv) {
       ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
+    } else if (std::strcmp(arg, "--help") != 0) {
+      std::printf("unknown flag %s\n", arg);
+      ok = false;
     }
     if (!ok || std::strcmp(arg, "--help") == 0) {
       std::printf(
@@ -136,7 +122,7 @@ int main(int argc, char** argv) {
       "Fleet SLO cost of recovery (bench_fleet_slo)",
       "recovery latency as tenant SLO-violation-minutes, equal fault rates");
 
-  const double calib = CalibMops();
+  const double calib = nlh::bench::CalibMops();
   std::printf("calib                 %10.1f Mops\n", calib);
   std::printf("fleet: %d hosts x %d tenants, %d s horizon, seed %llu\n\n",
               hosts, tenants, horizon,

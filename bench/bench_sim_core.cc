@@ -48,24 +48,6 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Fixed integer workload used to normalize the throughput metrics across
-// machines: xorshift64* over a constant iteration count.
-double CalibMops() {
-  constexpr std::uint64_t kIters = 1u << 26;
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x *= 0x2545f4914f6cdd1dULL;
-  }
-  const double secs = SecondsSince(t0);
-  // Keep the final state observable so the loop cannot be elided.
-  if (x == 0) std::fprintf(stderr, "calib degenerate\n");
-  return static_cast<double>(kIters) / secs / 1e6;
-}
-
 // EventQueue mix modeled on what a run does: a population of recurring
 // self-rescheduling events (timer ticks, run-slice kicks) plus a
 // cancel/reschedule churn lane (APIC one-shot reprogramming).
@@ -324,7 +306,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
       baseline_path = arg + 11;
     } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      gate_pct = std::atof(arg + 11);
+      ok = nlh::bench::ParseGatePct(arg + 11, &gate_pct);
     } else if (std::strncmp(arg, "--runs=", 7) == 0) {
       ok = nlh::sim::ParseIntFlag("--runs", arg + 7, &runs, 1);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -333,6 +315,9 @@ int main(int argc, char** argv) {
       ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
+    } else if (std::strcmp(arg, "--help") != 0) {
+      std::printf("unknown flag %s\n", arg);
+      ok = false;
     }
     if (!ok || std::strcmp(arg, "--help") == 0) {
       std::printf(
@@ -347,7 +332,7 @@ int main(int argc, char** argv) {
                           "the campaign engine underlying Sections VI-VII");
 
   Metrics m;
-  m.calib_mops = CalibMops();
+  m.calib_mops = nlh::bench::CalibMops();
   std::printf("calib                 %10.1f Mops\n", m.calib_mops);
   m.events_per_sec = EventsPerSec(quick ? 2'000'000ULL : 10'000'000ULL);
   std::printf("events/sec            %10.0f\n", m.events_per_sec);

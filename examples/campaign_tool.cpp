@@ -10,8 +10,9 @@
 //                 [--snapshot-period=MS]
 //
 // --mechanism accepts any slug in core::kMechanisms (core/config.h) and
-// rejects an unknown slug, listing the valid ones. Every integer flag takes
-// a plain decimal value; a malformed or out-of-range one exits 2.
+// rejects an unknown slug, listing the valid ones; so do --fault, --setup
+// and --bench. Every integer flag takes a plain decimal value; a malformed
+// or out-of-range one exits 2.
 // --snapshot-period sets the snapres capture cadence. Campaigns fork every
 // injection run off a warm template (core::RunCampaign), bit-identical to
 // booting each run cold. --verbose prints one line per run, in run order,
@@ -94,7 +95,10 @@
 //                    --mechanism, with fault events drawn from the master
 //                    seed (--seed). Prints the fleet summary (faults,
 //                    evacuations, request tallies, SLO-violation-minutes);
-//                    --fleet-out=FILE writes the FleetResult JSON.
+//                    --fleet-out=FILE writes the FleetResult JSON. Fleet
+//                    mode reads only --mechanism, --fault, --seed,
+//                    --threads, --hosts, --tenants, --fleet-horizon,
+//                    --placement and --fleet-out; any other flag exits 2.
 // --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
 #include <cstdint>
@@ -102,6 +106,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -149,6 +154,8 @@ void Usage() {
       "            DIR and verify its recorded verdicts byte-for-byte)\n"
       "  fleet:    --fleet [--hosts=N] [--tenants=N] [--fleet-horizon=S]\n"
       "            [--placement=least-loaded|first-fit] [--fleet-out=FILE.json]\n"
+      "            [--mechanism=SLUG] [--fault=CLASS] [--seed=N] [--threads=N]\n"
+      "            (no other flag)\n"
       "  shrink:   --shrink=REPRO.json [--shrink-evals=N]\n"
       "see the header comment of examples/campaign_tool.cpp for details\n");
 }
@@ -233,9 +240,11 @@ int main(int argc, char** argv) {
   bool fleet_mode = false;      // --fleet: fleet simulator instead of campaign
   fleet::FleetConfig fleet_cfg;
   std::string fleet_out;
+  std::vector<std::string> flags_given;  // each flag's name, without value
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    flags_given.push_back(arg.substr(0, arg.find('=')));
     auto val = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
@@ -279,12 +288,27 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--setup=", 0) == 0) {
-      one_appvm = std::string(val("--setup=")) == "1appvm";
+      const std::string s = val("--setup=");
+      if (s != "1appvm" && s != "3appvm") {
+        std::printf("unknown setup '%s'; valid: 1appvm 3appvm\n", s.c_str());
+        Usage();
+        return 2;
+      }
+      one_appvm = s == "1appvm";
     } else if (arg.rfind("--bench=", 0) == 0) {
       const std::string b = val("--bench=");
-      bench = b == "blk"   ? guest::BenchmarkKind::kBlkBench
-              : b == "net" ? guest::BenchmarkKind::kNetBench
-                           : guest::BenchmarkKind::kUnixBench;
+      if (b == "unix") {
+        bench = guest::BenchmarkKind::kUnixBench;
+      } else if (b == "blk") {
+        bench = guest::BenchmarkKind::kBlkBench;
+      } else if (b == "net") {
+        bench = guest::BenchmarkKind::kNetBench;
+      } else {
+        std::printf("unknown benchmark '%s'; valid: unix blk net\n",
+                    b.c_str());
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--runs=", 0) == 0) {
       ok = sim::ParseIntFlag("--runs", val("--runs="), &opts.runs, 1);
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -382,6 +406,19 @@ int main(int argc, char** argv) {
 
   // --- Fleet mode (src/fleet/) ----------------------------------------------
   if (fleet_mode) {
+    // Fleet mode reads only these; any other flag would be silently ignored.
+    static const char* const kFleetFlags[] = {
+        "--fleet",   "--mechanism", "--fault",     "--seed",
+        "--threads", "--hosts",     "--tenants",   "--fleet-horizon",
+        "--placement", "--fleet-out"};
+    for (const std::string& flag : flags_given) {
+      if (std::find(std::begin(kFleetFlags), std::end(kFleetFlags), flag) ==
+          std::end(kFleetFlags)) {
+        std::printf("%s has no effect with --fleet\n", flag.c_str());
+        Usage();
+        return 2;
+      }
+    }
     fleet_cfg.mechanism = cfg.mechanism;
     fleet_cfg.master_seed = opts.seed0;
     // Fault class rides along (--fault=register/memory gives the fleet

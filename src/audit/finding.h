@@ -12,52 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "integrity/surface.h"
 #include "sim/json.h"
 #include "sim/time.h"
 
 namespace nlh::audit {
 
-// Which hypervisor structure the finding is about. Slugs are stable: metric
-// names, campaign JSON columns, and tests key on them.
-enum class AuditSubsystem {
-  kFrameTable = 0,
-  kHeap,
-  kTimer,
-  kScheduler,
-  kLocks,
-  kEventChannel,
-  kGrantTable,
-  kPerCpu,
-  kStatics,
-  kDiff,  // differential findings vs the golden snapshot
-  // Guest-context subsystems (only audited when the auditor is given the
-  // PrivVM/frontend context; see StateAuditor::SetGuestContext).
-  kPrivVmBackend,  // backend component + its bookkeeping vs frontend truth
-  kIoRing,         // shared-ring counter/window/duplicate invariants
-  kCount,
-};
-
-inline constexpr int kNumAuditSubsystems =
-    static_cast<int>(AuditSubsystem::kCount);
-
-inline const char* AuditSubsystemName(AuditSubsystem s) {
-  switch (s) {
-    case AuditSubsystem::kFrameTable: return "frame_table";
-    case AuditSubsystem::kHeap: return "heap";
-    case AuditSubsystem::kTimer: return "timer";
-    case AuditSubsystem::kScheduler: return "scheduler";
-    case AuditSubsystem::kLocks: return "locks";
-    case AuditSubsystem::kEventChannel: return "event_channel";
-    case AuditSubsystem::kGrantTable: return "grant_table";
-    case AuditSubsystem::kPerCpu: return "percpu";
-    case AuditSubsystem::kStatics: return "statics";
-    case AuditSubsystem::kDiff: return "diff";
-    case AuditSubsystem::kPrivVmBackend: return "privvm_backend";
-    case AuditSubsystem::kIoRing: return "io_ring";
-    case AuditSubsystem::kCount: break;
-  }
-  return "?";
-}
+// Which subsystem the finding is about (integrity/surface.h). Slugs are
+// stable: metric names, campaign JSON columns, and tests key on them.
+using AuditSubsystem = integrity::Subsystem;
 
 enum class AuditSeverity {
   kInfo = 0,  // divergence worth reporting, no functional consequence
@@ -82,7 +45,7 @@ struct AuditFinding {
 
   std::string ToJson() const {
     return std::string("{\"subsystem\":") +
-           sim::JsonStr(AuditSubsystemName(subsystem)) +
+           sim::JsonStr(integrity::SubsystemName(subsystem)) +
            ",\"invariant\":" + sim::JsonStr(invariant) +
            ",\"severity\":" + sim::JsonStr(AuditSeverityName(severity)) +
            ",\"detail\":" + sim::JsonStr(detail) + "}";

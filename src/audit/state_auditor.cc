@@ -755,6 +755,26 @@ void StateAuditor::AuditDiff(AuditReport& r, const GoldenSnapshot& snap) {
 
 // --- Orchestration ---------------------------------------------------------
 
+void StateAuditor::RunPass(AuditSubsystem subsystem, AuditReport& r,
+                           const GoldenSnapshot* snapshot) {
+  switch (subsystem) {
+    case AuditSubsystem::kFrameTable: AuditFrameTable(r); break;
+    case AuditSubsystem::kHeap: AuditHeap(r); break;
+    case AuditSubsystem::kTimer: AuditTimers(r); break;
+    case AuditSubsystem::kScheduler: AuditScheduler(r); break;
+    case AuditSubsystem::kLocks: AuditLocks(r); break;
+    case AuditSubsystem::kEventChannel: AuditEventChannels(r); break;
+    case AuditSubsystem::kGrantTable: AuditGrantTables(r); break;
+    case AuditSubsystem::kPerCpu: AuditPerCpu(r); break;
+    case AuditSubsystem::kStatics: AuditStatics(r); break;
+    case AuditSubsystem::kDiff:
+      if (snapshot != nullptr) AuditDiff(r, *snapshot);
+      break;
+    case AuditSubsystem::kPrivVmBackend: AuditPrivVmBackend(r); break;
+    case AuditSubsystem::kIoRing: AuditIoRings(r); break;
+  }
+}
+
 AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   AuditReport r;
   const sim::Time start = hv_.Now();
@@ -763,31 +783,23 @@ AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   const std::uint32_t sweep_span =
       tracer.Begin("audit:sweep", /*cpu=*/0, start);
 
-  const auto run_pass = [&](const char* name, auto&& pass) {
+  const auto run_pass = [&](AuditSubsystem subsystem) {
     const sim::Duration before = r.modeled_cost;
-    pass();
+    RunPass(subsystem, r, snapshot);
     const sim::Duration cost = r.modeled_cost - before;
-    tracer.Span(std::string("audit:") + name, /*cpu=*/0, cursor,
-                cursor + cost);
+    tracer.Span(std::string("audit:") + integrity::SubsystemName(subsystem),
+                /*cpu=*/0, cursor, cursor + cost);
     cursor += cost;
   };
 
-  run_pass("frame_table", [&] { AuditFrameTable(r); });
-  run_pass("heap", [&] { AuditHeap(r); });
-  run_pass("timer", [&] { AuditTimers(r); });
-  run_pass("scheduler", [&] { AuditScheduler(r); });
-  run_pass("locks", [&] { AuditLocks(r); });
-  run_pass("event_channel", [&] { AuditEventChannels(r); });
-  run_pass("grant_table", [&] { AuditGrantTables(r); });
-  run_pass("percpu", [&] { AuditPerCpu(r); });
-  run_pass("statics", [&] { AuditStatics(r); });
+  for (int i = 0; i < integrity::kNumSurfaces; ++i) {
+    run_pass(static_cast<AuditSubsystem>(i));
+  }
   if (privvm_ != nullptr) {
-    run_pass("privvm_backend", [&] { AuditPrivVmBackend(r); });
-    run_pass("io_ring", [&] { AuditIoRings(r); });
+    run_pass(AuditSubsystem::kPrivVmBackend);
+    run_pass(AuditSubsystem::kIoRing);
   }
-  if (snapshot != nullptr) {
-    run_pass("diff", [&] { AuditDiff(r, *snapshot); });
-  }
+  if (snapshot != nullptr) run_pass(AuditSubsystem::kDiff);
 
   tracer.End(sweep_span, start + r.modeled_cost);
 
@@ -796,7 +808,7 @@ AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   for (const AuditFinding& f : r.findings) {
     metrics
         .GetCounter(std::string("audit.findings.") +
-                    AuditSubsystemName(f.subsystem))
+                    integrity::SubsystemName(f.subsystem))
         .Inc();
   }
   metrics.GetHistogram("audit.sweep_ms").Observe(sim::ToMillisF(r.modeled_cost));

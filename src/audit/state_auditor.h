@@ -58,6 +58,12 @@ class StateAuditor {
   // cleanliness).
   AuditReport Audit(const GoldenSnapshot& snapshot);
 
+  // The pass for one subsystem: appends its findings and charges its
+  // modeled cost into `r`. kDiff compares against `snapshot` and does
+  // nothing without one; the guest-context passes need SetGuestContext.
+  void RunPass(AuditSubsystem subsystem, AuditReport& r,
+               const GoldenSnapshot* snapshot = nullptr);
+
   // Individual passes, exposed so tests can exercise one subsystem's
   // invariants in isolation. Each appends findings and charges its modeled
   // cost into `r`.

@@ -133,7 +133,6 @@ class KvService {
   // durable storage, for golden-copy comparison).
   void CopyJournalTo(KvService* other) const { other->journal_ = journal_; }
 
-  bool BucketLocked(int b) const { return bucket_locked_[static_cast<std::size_t>(b)]; }
   std::size_t journal_size() const { return journal_.size(); }
   std::size_t pending() const { return pending_.size(); }
   std::uint64_t acked() const { return acked_; }

@@ -193,15 +193,6 @@ std::vector<RunResult> RunMany(
 
 namespace {
 
-// The first run_rng_ draw of a cold TargetSystem is the injection trigger
-// time (TargetSystem::ArmInjection); replicated here so the warm-fork
-// runner can order runs by trigger without constructing anything.
-sim::Time FirstTriggerFor(const RunConfig& cfg) {
-  sim::Rng rng(cfg.seed ^ 0xa5a5a5a5ULL);
-  return cfg.inject_window_start +
-         rng.Range(0, cfg.inject_window_end - cfg.inject_window_start);
-}
-
 // Whether `b` may fork off `a`'s template: equal in everything except the
 // seed and the injection parameters, which only act from the trigger on.
 bool SameTemplate(const RunConfig& a, RunConfig b) {
@@ -249,8 +240,8 @@ std::vector<RunResult> RunManyWarmForked(
   std::vector<std::pair<sim::Time, int>> order;
   order.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
-    order.emplace_back(FirstTriggerFor(configs[static_cast<std::size_t>(i)]),
-                       i);
+    order.emplace_back(
+        TargetSystem::FirstTrigger(configs[static_cast<std::size_t>(i)]), i);
   }
   std::sort(order.begin(), order.end());
 
@@ -381,7 +372,7 @@ CampaignResult RunCampaign(const RunConfig& config,
     if (r.audited) {
       for (const audit::AuditFinding& f : r.audit_report.findings) {
         if (f.severity != audit::AuditSeverity::kInfo) {
-          ++audit_findings[audit::AuditSubsystemName(f.subsystem)];
+          ++audit_findings[integrity::SubsystemName(f.subsystem)];
         }
       }
     }

@@ -99,7 +99,7 @@ struct CampaignResult {
   Proportion drift_flagged;             // fired-injection runs with drift
   int rejuvenations = 0;                // proactive triggers across runs
   int online_audit_findings = 0;        // on-drift audit findings across runs
-  // First-drift surface tally (integrity::SurfaceName slug, lexicographic).
+  // First-drift surface tally (integrity::SubsystemName slug, lexicographic).
   std::vector<std::pair<std::string, int>> first_drift_by_surface;
   DetectionLatencyAggregate drift_latency;  // fault_class == "drift"
 

@@ -18,7 +18,6 @@
 #include "inject/corruption.h"
 #include "inject/injector.h"
 #include "recovery/enhancements.h"
-#include "recovery/latency_model.h"
 #include "sim/time.h"
 
 namespace nlh::core {
@@ -83,7 +82,6 @@ struct RunConfig {
   // --- Mechanism under test -------------------------------------------------
   Mechanism mechanism = Mechanism::kNiLiHype;
   recovery::EnhancementSet enhancements = recovery::EnhancementSet::Full();
-  recovery::LatencyModel latency_model;  // Tables II/III calibration
   // Snapshot cadence of the snapres mechanism (ignored by the others).
   sim::Duration snapshot_period = sim::Milliseconds(100);
 

@@ -107,7 +107,7 @@ struct RunResult {
   std::uint64_t integrity_drifts = 0;
   std::int64_t first_drift_epoch = -1;        // -1: no drift observed
   sim::Time first_drift_at = 0;
-  std::string first_drift_surface;            // integrity::SurfaceName slug
+  std::string first_drift_surface;            // integrity::SubsystemName slug
   std::uint64_t drift_trail = 0;              // drift-sequence fingerprint
   sim::Duration drift_latency = -1;           // injection→first drift
   int rejuvenations = 0;                      // proactive triggers fired

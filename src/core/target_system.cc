@@ -14,6 +14,21 @@ namespace {
 // Work of the BlkBench VM created after recovery (~0.5 s check).
 constexpr int kVm3BlkBenchFiles = 800;
 
+// Seeds of the per-run RNG streams, derived from the run seed. A cold
+// Build() and RearmForSeed() both derive through these, so a re-armed warm
+// fork draws exactly the streams a cold boot of the same seed would.
+std::uint64_t RunRngSeed(std::uint64_t seed) { return seed ^ 0xa5a5a5a5ULL; }
+std::uint64_t PrivVmSeed(std::uint64_t seed) { return seed ^ 0x111; }
+std::uint64_t AppVmSeed(std::uint64_t seed, hv::DomainId id) {
+  return seed ^ (0x1000ULL + static_cast<std::uint64_t>(id));
+}
+
+// The injection trigger time: the first draw of the run RNG stream.
+sim::Time DrawFirstTrigger(const RunConfig& cfg, sim::Rng& run_rng) {
+  return cfg.inject_window_start +
+         run_rng.Range(0, cfg.inject_window_end - cfg.inject_window_start);
+}
+
 }  // namespace
 
 const char* OutcomeClassName(OutcomeClass c) {
@@ -29,8 +44,13 @@ TargetSystem::TargetSystem(const RunConfig& config)
     : TargetSystem(config, nullptr) {}
 
 TargetSystem::TargetSystem(const RunConfig& config, RunArena* arena)
-    : config_(config), arena_(arena), run_rng_(config.seed ^ 0xa5a5a5a5ULL) {
+    : config_(config), arena_(arena), run_rng_(RunRngSeed(config.seed)) {
   Build();
+}
+
+sim::Time TargetSystem::FirstTrigger(const RunConfig& config) {
+  sim::Rng run_rng(RunRngSeed(config.seed));
+  return DrawFirstTrigger(config, run_rng);
 }
 
 TargetSystem::~TargetSystem() {
@@ -59,17 +79,14 @@ void TargetSystem::Build() {
     case Mechanism::kNone:
       break;
     case Mechanism::kNiLiHype:
-      mech = std::make_unique<recovery::NiLiHype>(
-          *hv_, config_.enhancements, config_.latency_model);
+      mech = std::make_unique<recovery::NiLiHype>(*hv_, config_.enhancements);
       break;
     case Mechanism::kReHype:
-      mech = std::make_unique<recovery::ReHype>(*hv_, config_.enhancements,
-                                                config_.latency_model);
+      mech = std::make_unique<recovery::ReHype>(*hv_, config_.enhancements);
       break;
     case Mechanism::kSnapRes:
-      mech = std::make_unique<recovery::SnapRes>(
-          *hv_, config_.enhancements, config_.latency_model,
-          config_.snapshot_period);
+      mech = std::make_unique<recovery::SnapRes>(*hv_, config_.enhancements,
+                                                 config_.snapshot_period);
       break;
   }
   manager_ = std::make_unique<recovery::RecoveryManager>(*hv_, std::move(mech),
@@ -107,7 +124,8 @@ void TargetSystem::Build() {
   const hv::DomainId priv_id =
       hv_->CreateDomainDirect("PrivVM", /*privileged=*/true, /*cpu=*/0,
                               /*frames=*/128);
-  privvm_ = std::make_unique<guest::PrivVmKernel>(*hv_, config_.seed ^ 0x111);
+  privvm_ = std::make_unique<guest::PrivVmKernel>(*hv_,
+                                                  PrivVmSeed(config_.seed));
   privvm_->Bind(priv_id, hv_->FindDomain(priv_id)->vcpus.front());
   hv_->AttachGuest(priv_id, privvm_.get());
 
@@ -127,35 +145,33 @@ void TargetSystem::Build() {
   // (never to the mechanism). Built before the AppVMs so WireBlk can
   // register every frontend as it is wired.
   if (config_.privvm_recovery) {
-    privvm_recovery_ = std::make_unique<recovery::PrivVmRecovery>(
-        *hv_, *privvm_, config_.latency_model);
+    privvm_recovery_ =
+        std::make_unique<recovery::PrivVmRecovery>(*hv_, *privvm_);
     privvm_detector_ = std::make_unique<detect::PrivVmDetector>(*hv_, *privvm_);
     privvm_detector_->SetOnFailure(
         [this](const hv::DetectionEvent& ev) { RunPrivVmRecovery(ev); });
     privvm_detector_->Start();
   }
 
-  // Integrity observability chain: epoch monitor -> drift detector ->
-  // (online audit pass, rejuvenation policy). The monitor compares the
-  // per-surface hash ladder against the mutation ledger every scheduler
-  // epoch; unexplained drift is promoted to a DetectionEvent by the
-  // detector and, when config.proactive, triggers the configured recovery
-  // mechanism before the corruption manifests.
+  // Integrity observability chain: epoch monitor -> (online audit pass,
+  // rejuvenation policy). The monitor compares the per-surface hash ladder
+  // against the mutation ledger every scheduler epoch; with config.audit
+  // each unexplained drift runs the drifted surface's StateAuditor pass,
+  // and with config.proactive it feeds the policy, which triggers the
+  // configured recovery mechanism before the corruption manifests.
   if (config_.integrity) {
     monitor_ = std::make_unique<integrity::EpochMonitor>(*hv_);
-    drift_detector_ = std::make_unique<detect::DriftDetector>(*hv_, *monitor_);
     if (config_.proactive) {
       rejuvenation_ = std::make_unique<recovery::RejuvenationPolicy>(
           *hv_, config_.proactive_threshold);
     }
-    drift_detector_->SetOnDetection([this](const hv::DetectionEvent& ev) {
-      if (rejuvenation_ != nullptr) rejuvenation_->OnDetection(ev);
-    });
     monitor_->SetOnDrift([this](const integrity::DriftEvent& drift) {
       // Online audit first: the per-subsystem pass must see the state at
       // the drift epoch, before any proactive recovery rewrites it.
-      if (config_.audit) RunOnlineAuditPass(drift.surface);
-      drift_detector_->OnDrift(drift);
+      if (config_.audit) {
+        audit::StateAuditor(*hv_).RunPass(drift.surface, online_audit_);
+      }
+      if (rejuvenation_ != nullptr) rejuvenation_->OnDrift(drift);
     });
     monitor_->Start();
   }
@@ -240,8 +256,7 @@ guest::AppVmKernel* TargetSystem::AddAppVm(guest::BenchmarkKind kind,
       hv_->CreateDomainDirect(std::string(guest::BenchmarkName(kind)),
                               /*privileged=*/false, cpu, /*frames=*/64);
   auto vm = std::make_unique<guest::AppVmKernel>(
-      *hv_, guest::BenchmarkName(kind),
-      config_.seed ^ (0x1000ULL + static_cast<std::uint64_t>(id)), kind,
+      *hv_, guest::BenchmarkName(kind), AppVmSeed(config_.seed, id), kind,
       iterations, config_.appvm_mode);
   vm->Bind(id, hv_->FindDomain(id)->vcpus.front());
   hv_->AttachGuest(id, vm.get());
@@ -328,9 +343,7 @@ void TargetSystem::ArmInjection() {
   plan.fault_enabled = config_.inject;
   plan.trigger = config_.inject_trigger;
   plan.plants = config_.inject_plants;
-  plan.first_trigger = config_.inject_window_start +
-                       run_rng_.Range(0, config_.inject_window_end -
-                                             config_.inject_window_start);
+  plan.first_trigger = DrawFirstTrigger(config_, run_rng_);
   plan.second_trigger_instructions =
       config_.inject_second_trigger >= 0
           ? static_cast<std::uint64_t>(config_.inject_second_trigger)
@@ -387,57 +400,19 @@ void TargetSystem::RunPrivVmRecovery(const hv::DetectionEvent& ev) {
   privvm_recovery_->Recover(ev);
 }
 
-void TargetSystem::RunOnlineAuditPass(integrity::Surface surface) {
-  audit::StateAuditor auditor(*hv_);
-  switch (surface) {
-    case integrity::Surface::kFrameTable:
-      auditor.AuditFrameTable(online_audit_);
-      break;
-    case integrity::Surface::kHeap:
-      auditor.AuditHeap(online_audit_);
-      break;
-    case integrity::Surface::kTimer:
-      auditor.AuditTimers(online_audit_);
-      break;
-    case integrity::Surface::kScheduler:
-      auditor.AuditScheduler(online_audit_);
-      break;
-    case integrity::Surface::kLocks:
-      auditor.AuditLocks(online_audit_);
-      break;
-    case integrity::Surface::kEventChannel:
-      auditor.AuditEventChannels(online_audit_);
-      break;
-    case integrity::Surface::kGrantTable:
-      auditor.AuditGrantTables(online_audit_);
-      break;
-    case integrity::Surface::kPerCpu:
-      auditor.AuditPerCpu(online_audit_);
-      break;
-    case integrity::Surface::kStatics:
-      auditor.AuditStatics(online_audit_);
-      break;
-    case integrity::Surface::kCount:
-      break;
-  }
-}
-
 void TargetSystem::RearmForSeed(const RunConfig& run_config) {
   config_ = run_config;
-  // The fork image restored the monitor/detector/policy to the captured
+  // The fork image restored the monitor and policy to the captured
   // baseline; only the non-forked online-audit accumulator needs clearing.
   online_audit_ = audit::AuditReport{};
   recovery_failed_after_ = -1;
   const std::uint64_t seed = config_.seed;
   // Exactly the streams a cold TargetSystem(run_config) would construct,
-  // with the same seed derivations (Build(), AddAppVm()).
+  // through the same seed derivations.
   platform_->rng().Reseed(seed);
-  run_rng_.Reseed(seed ^ 0xa5a5a5a5ULL);
-  privvm_->ReseedRng(seed ^ 0x111);
-  for (auto& vm : appvms_) {
-    vm->ReseedRng(seed ^
-                  (0x1000ULL + static_cast<std::uint64_t>(vm->domain())));
-  }
+  run_rng_.Reseed(RunRngSeed(seed));
+  privvm_->ReseedRng(PrivVmSeed(seed));
+  for (auto& vm : appvms_) vm->ReseedRng(AppVmSeed(seed, vm->domain()));
   if (config_.inject || !config_.inject_plants.empty()) ArmInjection();
 }
 
@@ -648,7 +623,7 @@ RunResult TargetSystem::Classify() {
     r.first_drift_at = monitor_->first_drift_at();
     if (monitor_->has_drift()) {
       r.first_drift_surface =
-          std::string(integrity::SurfaceName(monitor_->first_drift_surface()));
+          std::string(integrity::SubsystemName(monitor_->first_drift_surface()));
       if (r.injection_fired && monitor_->first_drift_at() >= r.injected_at) {
         r.drift_latency = monitor_->first_drift_at() - r.injected_at;
       }

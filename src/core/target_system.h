@@ -27,7 +27,6 @@
 #include "hw/platform.h"
 #include "inject/injector.h"
 #include "core/run_arena.h"
-#include "detect/drift_detector.h"
 #include "detect/privvm_detector.h"
 #include "integrity/monitor.h"
 #include "recovery/manager.h"
@@ -81,7 +80,6 @@ class TargetSystem {
   recovery::PrivVmRecovery* privvm_recovery() { return privvm_recovery_.get(); }
   // Integrity observability path (only when config.integrity).
   integrity::EpochMonitor* integrity_monitor() { return monitor_.get(); }
-  detect::DriftDetector* drift_detector() { return drift_detector_.get(); }
   recovery::RejuvenationPolicy* rejuvenation() { return rejuvenation_.get(); }
   // Findings accumulated by the on-drift per-subsystem audit passes
   // (config.integrity && config.audit).
@@ -121,6 +119,10 @@ class TargetSystem {
   // injection plan. Valid because no RNG stream draws before the injection
   // window opens.
   void RearmForSeed(const RunConfig& run_config);
+  // The injection trigger time a system built from `config` draws
+  // (ArmInjection), computed without building one: the warm runner orders
+  // its runs by it.
+  static sim::Time FirstTrigger(const RunConfig& config);
 
   // Issues the post-recovery VM-creation check manually (normally triggered
   // automatically at first recovery resume in the 3AppVM setup).
@@ -150,9 +152,6 @@ class TargetSystem {
   // Re-registers the blk frontends with the PrivVM recovery path (the list
   // holds raw pointers into appvms_, which restore truncates).
   void RebindPrivVmFrontends();
-  // On-drift online audit: runs the StateAuditor pass matching the drifted
-  // surface into online_audit_ (config.integrity && config.audit).
-  void RunOnlineAuditPass(integrity::Surface surface);
   RunResult Classify();
 
   // Walks every layer's mutable state for CaptureForkImage/RestoreForkImage.
@@ -232,7 +231,6 @@ class TargetSystem {
     // monitor's baseline and trail fork with the run, so a warm-forked
     // run's ladder is byte-identical to a cold-booted one.
     if (monitor_ != nullptr) monitor_->VisitState(v);
-    if (drift_detector_ != nullptr) drift_detector_->VisitState(v);
     if (rejuvenation_ != nullptr) rejuvenation_->VisitState(v);
   }
 
@@ -253,7 +251,6 @@ class TargetSystem {
   std::unique_ptr<detect::PrivVmDetector> privvm_detector_;
   std::unique_ptr<recovery::PrivVmRecovery> privvm_recovery_;
   std::unique_ptr<integrity::EpochMonitor> monitor_;
-  std::unique_ptr<detect::DriftDetector> drift_detector_;
   std::unique_ptr<recovery::RejuvenationPolicy> rejuvenation_;
   sim::Rng run_rng_;
 

@@ -18,11 +18,13 @@
 
 namespace nlh::detect {
 
+// Consecutive unchanged samples that declare a hang.
+inline constexpr int kWatchdogMissesToHang = 3;
+
 class HangDetector {
  public:
-  explicit HangDetector(hv::Hypervisor& hv, int misses_to_hang = 3)
+  explicit HangDetector(hv::Hypervisor& hv)
       : hv_(hv),
-        misses_to_hang_(misses_to_hang),
         last_count_(static_cast<std::size_t>(hv.platform().num_cpus()), 0),
         misses_(static_cast<std::size_t>(hv.platform().num_cpus()), 0) {}
 
@@ -42,7 +44,7 @@ class HangDetector {
       misses_[i] = 0;
       return;
     }
-    if (++misses_[i] < misses_to_hang_) return;
+    if (++misses_[i] < kWatchdogMissesToHang) return;
     misses_[i] = 0;
     hv::DetectionEvent ev;
     ev.cpu = cpu;
@@ -71,7 +73,6 @@ class HangDetector {
 
  private:
   hv::Hypervisor& hv_;
-  int misses_to_hang_;
   std::vector<std::uint64_t> last_count_;
   std::vector<int> misses_;
 };

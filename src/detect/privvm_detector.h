@@ -8,9 +8,10 @@
 //
 //   crash:  the PrivVM kernel crashed or its state was marked corrupted —
 //           reported on the first poll that sees it.
-//   hang:   the served-I/O counter stops advancing for `misses_to_hang`
-//           consecutive polls while there is demonstrably pending backend
-//           work (queued ring requests or an in-flight pipeline op). The
+//   hang:   the served-I/O counter stops advancing for
+//           kPrivVmMissesToHang consecutive polls while there is
+//           demonstrably pending backend work (queued ring requests or an
+//           in-flight pipeline op). The
 //           pending-work requirement keeps an idle backend from looking
 //           stalled.
 //
@@ -31,15 +32,15 @@
 
 namespace nlh::detect {
 
+// Spacing of the recurring poll.
+inline constexpr sim::Duration kPrivVmPollPeriod = sim::Milliseconds(50);
+// Consecutive stalled polls (with pending work) that declare a hang.
+inline constexpr int kPrivVmMissesToHang = 3;
+
 class PrivVmDetector {
  public:
-  PrivVmDetector(hv::Hypervisor& hv, guest::PrivVmKernel& privvm,
-                 sim::Duration poll_period = sim::Milliseconds(50),
-                 int misses_to_hang = 3)
-      : hv_(hv),
-        privvm_(privvm),
-        poll_period_(poll_period),
-        misses_to_hang_(misses_to_hang) {}
+  PrivVmDetector(hv::Hypervisor& hv, guest::PrivVmKernel& privvm)
+      : hv_(hv), privvm_(privvm) {}
 
   using FailureHandler = std::function<void(const hv::DetectionEvent&)>;
   void SetOnFailure(FailureHandler handler) {
@@ -77,7 +78,7 @@ class PrivVmDetector {
       stall_polls_ = 0;
       return;
     }
-    if (++stall_polls_ < misses_to_hang_) return;
+    if (++stall_polls_ < kPrivVmMissesToHang) return;
     stall_polls_ = 0;
     Fire(hv::DetectionKind::kHang,
          "privvm backend stalled with pending ring work");
@@ -97,7 +98,8 @@ class PrivVmDetector {
 
  private:
   void SchedulePoll() {
-    hv_.platform().queue().ScheduleAfter(poll_period_, [this] { Poll(); });
+    hv_.platform().queue().ScheduleAfter(kPrivVmPollPeriod,
+                                         [this] { Poll(); });
   }
 
   bool HasPendingWork() const {
@@ -123,8 +125,6 @@ class PrivVmDetector {
 
   hv::Hypervisor& hv_;
   guest::PrivVmKernel& privvm_;
-  sim::Duration poll_period_;
-  int misses_to_hang_;
   FailureHandler on_failure_;
   bool started_ = false;
   std::uint64_t last_ios_ = 0;

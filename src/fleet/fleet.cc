@@ -245,9 +245,9 @@ FleetResult FleetSim::ApplyEvents(
           }
           ++res.tenants_evacuated;
           HostTimeline& tgt = hosts[static_cast<std::size_t>(target)];
-          const sim::Time start = std::max(t_down + cfg.evacuation.detect_grace,
+          const sim::Time start = std::max(t_down + kEvacuationDetectGrace,
                                            tgt.restart_busy_until);
-          const sim::Time done = start + cfg.evacuation.restart_per_vm;
+          const sim::Time done = start + kEvacuationRestartPerVm;
           tgt.restart_busy_until = done;
           ++tgt.tenants;
           tt.unavailable.push_back({t_down, done});
@@ -271,7 +271,7 @@ FleetResult FleetSim::ApplyEvents(
   // --- Tick-based tenant request accounting ---------------------------------
   // Classifies one instant of one tenant's service. Priority order:
   // unplaced/evacuating/host-down drop everything; an outage drops requests
-  // that would wait past drop_timeout and serves the rest late (violated);
+  // that would wait past kDropTimeout and serves the rest late (violated);
   // a degraded host serves, with a violation rate applied separately.
   const auto classify = [&](const TenantTimeline& tt,
                             sim::Time at) -> ServiceClass {
@@ -288,8 +288,8 @@ FleetResult FleetSim::ApplyEvents(
     if (ht.down_from >= 0 && at >= ht.down_from) return ServiceClass::kDropped;
     for (const Interval& o : ht.outages) {
       if (at >= o.s && at < o.e) {
-        return (o.e - at) <= cfg.slo.drop_timeout ? ServiceClass::kViolated
-                                                  : ServiceClass::kDropped;
+        return (o.e - at) <= kDropTimeout ? ServiceClass::kViolated
+                                          : ServiceClass::kDropped;
       }
     }
     for (const Interval& d : ht.degraded) {
@@ -298,8 +298,7 @@ FleetResult FleetSim::ApplyEvents(
     return ServiceClass::kUp;
   };
 
-  const int tick_s = cfg.slo.tick_seconds > 0 ? cfg.slo.tick_seconds : 30;
-  const sim::Duration tick_ns = sim::Seconds(tick_s);
+  const sim::Duration tick_ns = sim::Seconds(kSloTickSeconds);
   const int ticks =
       static_cast<int>((horizon + tick_ns - 1) / tick_ns);
 
@@ -327,7 +326,7 @@ FleetResult FleetSim::ApplyEvents(
       for (const Interval& o : ht.outages) {
         cand.push_back(o.s);
         cand.push_back(o.e);
-        cand.push_back(o.e - cfg.slo.drop_timeout);  // violated/dropped split
+        cand.push_back(o.e - kDropTimeout);  // violated/dropped split
       }
       for (const Interval& d : ht.degraded) {
         cand.push_back(d.s);
@@ -379,7 +378,7 @@ FleetResult FleetSim::ApplyEvents(
           static_cast<double>(n) * static_cast<double>(deg_ns) / span, rng);
       if (deg_n > n - drop - viol) deg_n = n - drop - viol;
       viol += StochasticRound(
-          static_cast<double>(deg_n) * cfg.slo.degraded_violation_rate, rng);
+          static_cast<double>(deg_n) * kDegradedViolationRate, rng);
       if (drop + viol > n) viol = n - drop;
       const int completed = n - drop - viol;
 
@@ -388,7 +387,7 @@ FleetResult FleetSim::ApplyEvents(
       res.slo_violated += static_cast<std::uint64_t>(viol);
       res.completed += static_cast<std::uint64_t>(completed);
       if (n > 0 && static_cast<double>(drop + viol) >
-                       cfg.slo.bad_tick_fraction * static_cast<double>(n)) {
+                       kBadTickFraction * static_cast<double>(n)) {
         ++bad;
         res.slo_violation_minutes +=
             static_cast<double>(b - a) / (60.0 * static_cast<double>(sim::kSecond));

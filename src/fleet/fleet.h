@@ -76,27 +76,26 @@ struct HostRecoveryEvent {
 HostRecoveryEvent ClassifyHostRun(const FaultEvent& ev,
                                   const core::RunResult& r);
 
-// SLO accounting model.
-struct SloModel {
-  int tick_seconds = 30;            // accounting granularity
-  // A tenant-tick counts toward SLO-violation-minutes when more than this
-  // fraction of its admitted requests were violated or dropped. 1% with
-  // 30 s ticks is the knife edge the paper's gap sits on: a 713 ms ReHype
-  // outage (2.4% of a tick) breaches it, a 22 ms NiLiHype outage (0.07%)
-  // does not.
-  double bad_tick_fraction = 0.01;
-  // Requests arriving while the host is unavailable are served late
-  // (SLO-violated) if service resumes within this much, dropped otherwise.
-  sim::Duration drop_timeout = sim::Seconds(1);
-  // Fraction of a degraded host's requests that miss their latency target.
-  double degraded_violation_rate = 0.10;
-};
+// --- SLO accounting model ---------------------------------------------------
+// Accounting granularity.
+inline constexpr int kSloTickSeconds = 30;
+// A tenant-tick counts toward SLO-violation-minutes when more than this
+// fraction of its admitted requests were violated or dropped. 1% with
+// 30 s ticks is the knife edge the paper's gap sits on: a 713 ms ReHype
+// outage (2.4% of a tick) breaches it, a 22 ms NiLiHype outage (0.07%)
+// does not.
+inline constexpr double kBadTickFraction = 0.01;
+// Requests arriving while the host is unavailable are served late
+// (SLO-violated) if service resumes within this much, dropped otherwise.
+inline constexpr sim::Duration kDropTimeout = sim::Seconds(1);
+// Fraction of a degraded host's requests that miss their latency target.
+inline constexpr double kDegradedViolationRate = 0.10;
 
-// Evacuation/restart cost model for failed recoveries.
-struct EvacuationModel {
-  sim::Duration detect_grace = sim::Seconds(5);    // host declared dead -> evacuation starts
-  sim::Duration restart_per_vm = sim::Seconds(20); // serialized per target host
-};
+// --- Evacuation/restart cost model for failed recoveries -------------------
+// Host declared dead -> evacuation starts.
+inline constexpr sim::Duration kEvacuationDetectGrace = sim::Seconds(5);
+// Restart cost per evacuated VM, serialized per target host.
+inline constexpr sim::Duration kEvacuationRestartPerVm = sim::Seconds(20);
 
 struct FleetConfig {
   int hosts = 100;
@@ -113,8 +112,6 @@ struct FleetConfig {
   core::Mechanism mechanism = core::Mechanism::kNiLiHype;
   PlacementPolicy placement = PlacementPolicy::kLeastLoaded;
   TrafficModel traffic;
-  SloModel slo;
-  EvacuationModel evacuation;
   // Per-fault-event TargetSystem configuration. Mechanism and seed are
   // overridden per event; `audit` should stay on — the audit-clean vs
   // latent-corruption split is what drives the degraded-host model.
@@ -161,7 +158,7 @@ struct FleetResult {
   std::uint64_t dropped = 0;
 
   // SLO-violation-minutes: tenant-ticks whose violated+dropped share
-  // breached SloModel::bad_tick_fraction, weighted by tick length.
+  // breached kBadTickFraction, weighted by tick length.
   std::uint64_t bad_tenant_ticks = 0;
   int tenants_with_violations = 0;
   int worst_tenant = -1;

@@ -53,7 +53,7 @@ PolicyVerdict MakeVerdict(core::Mechanism mechanism,
   for (const audit::AuditFinding& f : r.audit_report.findings) {
     if (f.severity == audit::AuditSeverity::kInfo) continue;
     findings.insert(f.invariant);
-    subsystems.insert(audit::AuditSubsystemName(f.subsystem));
+    subsystems.insert(integrity::SubsystemName(f.subsystem));
   }
   v.latent_findings.assign(findings.begin(), findings.end());
   v.latent_subsystems.assign(subsystems.begin(), subsystems.end());

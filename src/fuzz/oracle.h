@@ -83,7 +83,7 @@ struct PolicyVerdict {
   bool integrity = false;
   std::int64_t integrity_drifts = 0;
   std::int64_t first_drift_epoch = -1;          // -1: no drift observed
-  std::string first_drift_surface;              // integrity::SurfaceName slug
+  std::string first_drift_surface;              // integrity::SubsystemName slug
   std::uint64_t drift_trail = 0;                // drift-sequence fingerprint
   std::int64_t drift_latency_ns = -1;           // injection->first drift
 

@@ -32,7 +32,7 @@ enum class FailureCode {
   kWatchdogStall,   // NMI watchdog: per-CPU soft counter stopped advancing
   kNestedFault,     // error raised while handling a previous error
   kIntegrityDrift,  // epoch monitor: unexplained state-hash drift
-                    // (integrity/monitor.h via detect/drift_detector.h)
+                    // (integrity/monitor.h via recovery/rejuvenation.h)
 };
 
 inline const char* FailureCodeName(FailureCode c) {

@@ -36,12 +36,8 @@ class RegisterFile {
   std::uint64_t fs_base = 0;
   std::uint64_t gs_base = 0;
 
-  // Snapshot/restore used when entering/leaving the hypervisor and by the
-  // "Save FS/GS" enhancement.
+  // Every register value, in Reg order (detection snapshots).
   std::array<std::uint64_t, kNumRegs> Snapshot() const { return values_; }
-  void Restore(const std::array<std::uint64_t, kNumRegs>& snap) {
-    values_ = snap;
-  }
 
  private:
   std::array<std::uint64_t, kNumRegs> values_{};

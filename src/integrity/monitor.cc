@@ -8,12 +8,17 @@ namespace {
 // Cap on retained drift events per run: enough for every golden and for
 // campaign aggregation (counts and the trail keep accumulating past it).
 constexpr std::size_t kMaxRetainedDrifts = 256;
+
+// Trace instant names, interned once at construction so the per-epoch hot
+// path emits by NameId and never builds a string.
+constexpr const char kSpanIntegrityEpoch[] = "integrity:epoch";
+constexpr const char kSpanIntegrityDrift[] = "integrity:drift";
 }  // namespace
 
 EpochMonitor::EpochMonitor(hv::Hypervisor& hv)
     : hv_(hv),
-      span_epoch_(hv.tracer().InternName(sim::kSpanIntegrityEpoch)),
-      span_drift_(hv.tracer().InternName(sim::kSpanIntegrityDrift)),
+      span_epoch_(hv.tracer().InternName(kSpanIntegrityEpoch)),
+      span_drift_(hv.tracer().InternName(kSpanIntegrityDrift)),
       c_epochs_(hv.metrics().CounterHandleFor("integrity.epochs")),
       c_drifts_(hv.metrics().CounterHandleFor("integrity.drifts")) {}
 

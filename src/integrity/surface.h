@@ -1,14 +1,13 @@
-// The nine integrity surfaces: the recovery-critical state partitions the
-// hash ladder tracks online, one per StateAuditor sweep subsystem. Slugs
-// must stay byte-identical to audit/finding.h's AuditSubsystemName so drift
-// reports, audit findings and campaign JSON aggregate under one key space.
+// The recovery-critical subsystems, named once. The first kNumSurfaces are
+// the integrity surfaces the hash ladder tracks online; all of them are
+// StateAuditor sweep subsystems. The slugs are the one key space drift
+// reports, audit findings, trace spans and campaign JSON aggregate under.
 #pragma once
-
-#include <string_view>
 
 namespace nlh::integrity {
 
-enum class Surface : int {
+enum class Subsystem : int {
+  // Hashed surfaces (integrity/ladder.h), in ladder order.
   kFrameTable = 0,
   kHeap,
   kTimer,
@@ -18,23 +17,32 @@ enum class Surface : int {
   kGrantTable,
   kPerCpu,
   kStatics,
-  kCount,
+  // Audit-only subsystems.
+  kDiff,  // differential findings vs the golden snapshot
+  // Guest-context subsystems (only audited when the auditor is given the
+  // PrivVM/frontend context; see StateAuditor::SetGuestContext).
+  kPrivVmBackend,  // backend component + its bookkeeping vs frontend truth
+  kIoRing,         // shared-ring counter/window/duplicate invariants
 };
 
-inline constexpr int kNumSurfaces = static_cast<int>(Surface::kCount);
+// A hashed surface: one of the first kNumSurfaces subsystems.
+using Surface = Subsystem;
+inline constexpr int kNumSurfaces = static_cast<int>(Subsystem::kDiff);
 
-inline std::string_view SurfaceName(Surface s) {
+inline const char* SubsystemName(Subsystem s) {
   switch (s) {
-    case Surface::kFrameTable:   return "frame_table";
-    case Surface::kHeap:         return "heap";
-    case Surface::kTimer:        return "timer";
-    case Surface::kScheduler:    return "scheduler";
-    case Surface::kLocks:        return "locks";
-    case Surface::kEventChannel: return "event_channel";
-    case Surface::kGrantTable:   return "grant_table";
-    case Surface::kPerCpu:       return "percpu";
-    case Surface::kStatics:      return "statics";
-    case Surface::kCount:        break;
+    case Subsystem::kFrameTable: return "frame_table";
+    case Subsystem::kHeap: return "heap";
+    case Subsystem::kTimer: return "timer";
+    case Subsystem::kScheduler: return "scheduler";
+    case Subsystem::kLocks: return "locks";
+    case Subsystem::kEventChannel: return "event_channel";
+    case Subsystem::kGrantTable: return "grant_table";
+    case Subsystem::kPerCpu: return "percpu";
+    case Subsystem::kStatics: return "statics";
+    case Subsystem::kDiff: return "diff";
+    case Subsystem::kPrivVmBackend: return "privvm_backend";
+    case Subsystem::kIoRing: return "io_ring";
   }
   return "?";
 }

@@ -17,6 +17,11 @@ struct EnhancementSet {
   bool release_heap_locks = true;  // force-release locks stored in the heap
   bool ack_interrupts = true;    // ack pending + in-service interrupts
   bool frame_table_scan = true;  // page-frame descriptor consistency scan
+  // Cores the frame scan is split across. Section VII-B latency mitigation:
+  // "the problem could be mitigated by exploiting parallelism... use
+  // multiple cores to perform the operation." 1 = the paper's sequential
+  // scan.
+  int frame_scan_parallelism = 1;
 
   // --- NiLiHype-specific (Section V-A) ------------------------------------
   bool clear_irq_count = true;

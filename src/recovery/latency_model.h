@@ -14,84 +14,81 @@
 
 #include "sim/time.h"
 
-namespace nlh::recovery {
+namespace nlh::recovery::latency {
 
-struct LatencyModel {
-  // --- Shared -----------------------------------------------------------
-  // Detection -> all CPUs frozen (IPI delivery + interrupt disable).
-  sim::Duration freeze = sim::Microseconds(120);
-  // Delay from freeze to the interrupt-ack step. APIC one-shots that fire
-  // inside this window are consumed by the ack; anything firing after it
-  // stays latched in the IRR and is redelivered at resume. This window is
-  // what makes the "Reprogram hardware timer" enhancement matter.
-  sim::Duration ack_delay = sim::Microseconds(400);
-  // Per-descriptor cost of the page-frame consistency scan:
-  // 21 ms / (8 GiB / 4 KiB frames) ~= 10 ns (Tables II and III).
-  double frame_scan_ns_per_frame = 10.014;
-  // Section VII-B latency mitigation: "the problem could be mitigated by
-  // exploiting parallelism... use multiple cores to perform the operation."
-  // 1 = the paper's sequential scan.
-  int frame_scan_parallelism = 1;
+// --- Shared -----------------------------------------------------------
+// Detection -> all CPUs frozen (IPI delivery + interrupt disable).
+inline constexpr sim::Duration kFreeze = sim::Microseconds(120);
+// Delay from freeze to the interrupt-ack step. APIC one-shots that fire
+// inside this window are consumed by the ack; anything firing after it
+// stays latched in the IRR and is redelivered at resume. This window is
+// what makes the "Reprogram hardware timer" enhancement matter.
+inline constexpr sim::Duration kAckDelay = sim::Microseconds(400);
+// Per-descriptor cost of the page-frame consistency scan:
+// 21 ms / (8 GiB / 4 KiB frames) ~= 10 ns (Tables II and III).
+inline constexpr double kFrameScanNsPerFrame = 10.014;
 
-  // --- NiLiHype (Table III: total 22 ms = 21 ms scan + 1 ms others) -------
-  sim::Duration nl_discard_threads = sim::Microseconds(40);
-  sim::Duration nl_clear_irq = sim::Microseconds(30);
-  sim::Duration nl_release_locks = sim::Microseconds(90);
-  sim::Duration nl_sched_repair = sim::Microseconds(180);
-  sim::Duration nl_retry_setup = sim::Microseconds(110);
-  sim::Duration nl_reactivate = sim::Microseconds(60);
-  sim::Duration nl_reprogram = sim::Microseconds(50);
-  sim::Duration nl_resume = sim::Microseconds(90);
+// --- NiLiHype (Table III: total 22 ms = 21 ms scan + 1 ms others) -------
+inline constexpr sim::Duration kNlDiscardThreads = sim::Microseconds(40);
+inline constexpr sim::Duration kNlClearIrq = sim::Microseconds(30);
+inline constexpr sim::Duration kNlReleaseLocks = sim::Microseconds(90);
+inline constexpr sim::Duration kNlSchedRepair = sim::Microseconds(180);
+inline constexpr sim::Duration kNlRetrySetup = sim::Microseconds(110);
+inline constexpr sim::Duration kNlReactivate = sim::Microseconds(60);
+inline constexpr sim::Duration kNlReprogram = sim::Microseconds(50);
+inline constexpr sim::Duration kNlResume = sim::Microseconds(90);
 
-  // --- ReHype (Table II: total 713 ms at 8 GB) ------------------------------
-  // Hardware initialization: 412 ms.
-  sim::Duration rh_early_boot = sim::Milliseconds(12);
-  sim::Duration rh_cpus_online = sim::Milliseconds(150);
-  sim::Duration rh_apic_setup = sim::Milliseconds(200);
-  sim::Duration rh_tsc_calibrate = sim::Milliseconds(50);
-  // Memory initialization: 266 ms at 8 GB, all memory-proportional.
-  double rh_record_heap_ns_per_frame = 10.014;   // 21 ms @ 8 GB
-  // (frame scan shares frame_scan_ns_per_frame: 21 ms @ 8 GB)
-  double rh_reinit_desc_ns_per_frame = 6.199;    // 13 ms @ 8 GB
-  double rh_recreate_heap_ns_per_frame = 100.62;  // 211 ms @ 8 GB
-  // Misc: 35 ms.
-  sim::Duration rh_smp_init = sim::Milliseconds(20);
-  sim::Duration rh_relocate = sim::Milliseconds(2);
-  sim::Duration rh_misc_others = sim::Milliseconds(13);
+// --- ReHype (Table II: total 713 ms at 8 GB) ------------------------------
+// Hardware initialization: 412 ms.
+inline constexpr sim::Duration kRhEarlyBoot = sim::Milliseconds(12);
+inline constexpr sim::Duration kRhCpusOnline = sim::Milliseconds(150);
+inline constexpr sim::Duration kRhApicSetup = sim::Milliseconds(200);
+inline constexpr sim::Duration kRhTscCalibrate = sim::Milliseconds(50);
+// Memory initialization: 266 ms at 8 GB, all memory-proportional.
+inline constexpr double kRhRecordHeapNsPerFrame = 10.014;    // 21 ms @ 8 GB
+// (frame scan shares kFrameScanNsPerFrame: 21 ms @ 8 GB)
+inline constexpr double kRhReinitDescNsPerFrame = 6.199;     // 13 ms @ 8 GB
+inline constexpr double kRhRecreateHeapNsPerFrame = 100.62;  // 211 ms @ 8 GB
+// Misc: 35 ms.
+inline constexpr sim::Duration kRhSmpInit = sim::Milliseconds(20);
+inline constexpr sim::Duration kRhRelocate = sim::Milliseconds(2);
+inline constexpr sim::Duration kRhMiscOthers = sim::Milliseconds(13);
 
-  // --- SnapRes (snapshot/rollback; recovery/snapres.h) --------------------
-  // Capture copies the hypervisor control state (static segment, heap
-  // metadata, timer wheels, per-CPU blocks); the heap metadata dominates
-  // and scales with memory, so both costs are per-frame. Capture is charged
-  // as runtime overhead at every snapshot epoch.
-  double sr_capture_ns_per_frame = 0.6;   // ~1.26 ms @ 8 GB per capture
-  // Rollback is the bulk copy-back of the same image at recovery time.
-  double sr_rollback_ns_per_frame = 1.2;  // ~2.5 ms @ 8 GB
-  // Replaying the undo log and re-arming retries for in-flight requests.
-  sim::Duration sr_replay_inflight = sim::Microseconds(150);
+// --- SnapRes (snapshot/rollback; recovery/snapres.h) --------------------
+// Capture copies the hypervisor control state (static segment, heap
+// metadata, timer wheels, per-CPU blocks); the heap metadata dominates
+// and scales with memory, so both costs are per-frame. Capture is charged
+// as runtime overhead at every snapshot epoch.
+inline constexpr double kSrCaptureNsPerFrame = 0.6;   // ~1.26 ms @ 8 GB
+// Rollback is the bulk copy-back of the same image at recovery time.
+inline constexpr double kSrRollbackNsPerFrame = 1.2;  // ~2.5 ms @ 8 GB
+// Replaying the undo log and re-arming retries for in-flight requests.
+inline constexpr sim::Duration kSrReplayInflight = sim::Microseconds(150);
 
-  // --- PrivVM component recovery (recovery/privvm_recovery.h) -------------
-  // Ring repair walks the shared rings (counter resync + dedup); backend
-  // rebuild cross-checks surviving frontend driver state and reclaims
-  // leaked grant mappings; kernel reset is the component microreboot.
-  // Component-local costs: independent of host memory size.
-  sim::Duration pv_ring_repair = sim::Microseconds(80);
-  sim::Duration pv_backend_rebuild = sim::Microseconds(220);
-  sim::Duration pv_kernel_reset = sim::Microseconds(140);
+// --- PrivVM component recovery (recovery/privvm_recovery.h) -------------
+// Ring repair walks the shared rings (counter resync + dedup); backend
+// rebuild cross-checks surviving frontend driver state and reclaims
+// leaked grant mappings; kernel reset is the component microreboot.
+// Component-local costs: independent of host memory size.
+inline constexpr sim::Duration kPvRingRepair = sim::Microseconds(80);
+inline constexpr sim::Duration kPvBackendRebuild = sim::Microseconds(220);
+inline constexpr sim::Duration kPvKernelReset = sim::Microseconds(140);
 
-  bool operator==(const LatencyModel&) const = default;
+// The page-frame scan over `configured_frames`, split across `parallelism`
+// cores (EnhancementSet::frame_scan_parallelism; 1 = the paper's sequential
+// scan).
+inline sim::Duration FrameScan(std::uint64_t configured_frames,
+                               int parallelism) {
+  const int par = parallelism > 0 ? parallelism : 1;
+  return static_cast<sim::Duration>(kFrameScanNsPerFrame *
+                                    static_cast<double>(configured_frames) /
+                                    par);
+}
 
-  sim::Duration FrameScan(std::uint64_t configured_frames) const {
-    const int par = frame_scan_parallelism > 0 ? frame_scan_parallelism : 1;
-    return static_cast<sim::Duration>(frame_scan_ns_per_frame *
-                                      static_cast<double>(configured_frames) /
-                                      par);
-  }
-  sim::Duration PerFrame(double ns_per_frame,
-                         std::uint64_t configured_frames) const {
-    return static_cast<sim::Duration>(ns_per_frame *
-                                      static_cast<double>(configured_frames));
-  }
-};
+inline sim::Duration PerFrame(double ns_per_frame,
+                              std::uint64_t configured_frames) {
+  return static_cast<sim::Duration>(ns_per_frame *
+                                    static_cast<double>(configured_frames));
+}
 
-}  // namespace nlh::recovery
+}  // namespace nlh::recovery::latency

@@ -8,18 +8,18 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
   //    increments the interrupt nesting count), park them in busy waits.
   hv_.FreezeForRecovery(cpu);
   rec.Add(RecoveryPhase::kFreeze, "freeze CPUs (IPIs, disable interrupts)",
-          model_.freeze);
+          latency::kFreeze);
 
   // 2. Microreset core: discard every execution thread.
   hv_.DiscardAllHvStacks();
   rec.Add(RecoveryPhase::kDiscardThreads,
-          "discard hypervisor execution threads", model_.nl_discard_threads);
+          "discard hypervisor execution threads", latency::kNlDiscardThreads);
 
   // 3. Roll-forward enhancements (Section V-A).
   if (enh_.clear_irq_count) {
     for (hv::PerCpuData& pc : hv_.percpu()) pc.local_irq_count = 0;
     rec.Add(RecoveryPhase::kClearIrqCount, "clear IRQ count",
-            model_.nl_clear_irq);
+            latency::kNlClearIrq);
   }
   if (enh_.release_heap_locks || enh_.unlock_static_locks) {
     int released = 0;
@@ -29,14 +29,14 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
     }
     rec.Add(RecoveryPhase::kReleaseLocks,
             "release locks (" + std::to_string(released) + " held)",
-            model_.nl_release_locks);
+            latency::kNlReleaseLocks);
   }
   if (enh_.sched_metadata_repair) {
     const int repaired = hv::RepairSchedMetadata(hv_.percpu(), hv_.vcpus());
     rec.Add(RecoveryPhase::kSchedMetadataRepair,
             "scheduling metadata consistency (" + std::to_string(repaired) +
                 " fields)",
-            model_.nl_sched_repair);
+            latency::kNlSchedRepair);
   }
   if (enh_.hypercall_retry || enh_.syscall_retry) {
     const steps::RetrySetupStats st = steps::SetupRequestRetries(hv_, enh_);
@@ -44,7 +44,7 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
             "set up hypercall/syscall retry (" +
                 std::to_string(st.hypercalls_retried + st.syscalls_retried) +
                 " retried, " + std::to_string(st.requests_lost) + " lost)",
-            model_.nl_retry_setup);
+            latency::kNlRetrySetup);
   } else {
     steps::SetupRequestRetries(hv_, enh_);  // marks everything lost
   }
@@ -52,7 +52,8 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
     hv_.frames().ScanAndRepair();
     rec.Add(RecoveryPhase::kFrameTableScan,
             "restore page-frame descriptor consistency",
-            model_.FrameScan(hv_.platform().memory().num_frames()));
+            latency::FrameScan(hv_.platform().memory().num_frames(),
+                               enh_.frame_scan_parallelism));
   }
   if (enh_.reactivate_recurring) {
     const int reinserted = hv_.ReactivateRecurringEvents();
@@ -60,14 +61,14 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
     rec.Add(RecoveryPhase::kReactivateTimers,
             "reactivate recurring timer events (" +
                 std::to_string(reinserted) + " missing)",
-            model_.nl_reactivate);
+            latency::kNlReactivate);
   }
 
   // 4. Ack pending and in-service interrupts shortly after the freeze. An
   //    APIC one-shot that fires before this point is consumed; one firing
   //    later stays latched and is redelivered at resume.
   if (enh_.ack_interrupts) {
-    hv_.platform().queue().ScheduleAt(detected_at + model_.ack_delay,
+    hv_.platform().queue().ScheduleAt(detected_at + latency::kAckDelay,
                                       [this] { hv_.AckAllInterrupts(); });
     rec.Add(RecoveryPhase::kAckInterrupts,
             "acknowledge pending/in-service interrupts",
@@ -76,10 +77,10 @@ bool NiLiHype::Repair(hw::CpuId cpu, sim::Time detected_at,
 
   if (enh_.reprogram_apic) {
     rec.Add(RecoveryPhase::kReprogramApic, "reprogram hardware (APIC) timers",
-            model_.nl_reprogram);
+            latency::kNlReprogram);
   }
   rec.Add(RecoveryPhase::kResume, "resume (exit busy waits)",
-          model_.nl_resume);
+          latency::kNlResume);
   return enh_.reprogram_apic;
 }
 

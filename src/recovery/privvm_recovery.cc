@@ -156,7 +156,7 @@ RecoveryReport PrivVmRecovery::Recover(const hv::DetectionEvent& event) {
           "PrivVM ring repair (" + std::to_string(stats.rings_resynced) +
               " resynced, " + std::to_string(stats.duplicates_dropped) +
               " dups dropped)",
-          model_.pv_ring_repair);
+          latency::kPvRingRepair);
 
   RebuildBackend(stats);
   rec.Add(RecoveryPhase::kPrivVmBackendRebuild,
@@ -164,12 +164,12 @@ RecoveryReport PrivVmRecovery::Recover(const hv::DetectionEvent& event) {
               std::to_string(stats.grants_unmapped) + " unmapped, " +
               std::to_string(stats.inflight_requeued) + " requeued, " +
               std::to_string(stats.responses_synthesized) + " answered)",
-          model_.pv_backend_rebuild);
+          latency::kPvBackendRebuild);
 
   privvm_.ResetForRecovery();
   stats.kernel_reset = true;
   rec.Add(RecoveryPhase::kPrivVmKernelReset, "PrivVM kernel reset",
-          model_.pv_kernel_reset);
+          latency::kPvKernelReset);
 
   report.resumed_at = rec.cursor();
   stats_ = stats;

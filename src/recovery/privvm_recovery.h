@@ -55,9 +55,8 @@ struct PrivVmRepairStats {
 
 class PrivVmRecovery {
  public:
-  PrivVmRecovery(hv::Hypervisor& hv, guest::PrivVmKernel& privvm,
-                 LatencyModel model = LatencyModel{})
-      : hv_(hv), privvm_(privvm), model_(model) {}
+  PrivVmRecovery(hv::Hypervisor& hv, guest::PrivVmKernel& privvm)
+      : hv_(hv), privvm_(privvm) {}
 
   // Registers a frontend whose driver state backs the reconstruction.
   void AddFrontend(guest::AppVmKernel* frontend) {
@@ -94,7 +93,6 @@ class PrivVmRecovery {
 
   hv::Hypervisor& hv_;
   guest::PrivVmKernel& privvm_;
-  LatencyModel model_;
   std::vector<guest::AppVmKernel*> frontends_;
   int recoveries_ = 0;
   PrivVmRepairStats stats_;

@@ -91,9 +91,8 @@ class StepRecorder;
 // resumes the system the same way (Recover), and differs only in Repair.
 class RecoveryMechanism {
  public:
-  RecoveryMechanism(hv::Hypervisor& hv, const EnhancementSet& enh,
-                    const LatencyModel& model = LatencyModel{})
-      : hv_(hv), enh_(enh), model_(model) {}
+  RecoveryMechanism(hv::Hypervisor& hv, const EnhancementSet& enh)
+      : hv_(hv), enh_(enh) {}
   // Recover schedules callbacks that hold `this`.
   RecoveryMechanism(const RecoveryMechanism&) = delete;
   RecoveryMechanism& operator=(const RecoveryMechanism&) = delete;
@@ -132,7 +131,6 @@ class RecoveryMechanism {
 
   hv::Hypervisor& hv_;
   EnhancementSet enh_;
-  LatencyModel model_;
 };
 
 namespace steps {

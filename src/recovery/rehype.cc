@@ -11,7 +11,7 @@ bool ReHype::Repair(hw::CpuId cpu, sim::Time /*detected_at*/,
   for (int c = 0; c < hv_.platform().num_cpus(); ++c) {
     if (c != cpu) hv_.platform().cpu(c).set_halted(true);
   }
-  rec.Add(RecoveryPhase::kFreeze, "freeze and halt other CPUs", model_.freeze);
+  rec.Add(RecoveryPhase::kFreeze, "freeze and halt other CPUs", latency::kFreeze);
 
   // The reboot gives every CPU a fresh hypervisor stack; any spinning
   // execution thread is gone with the old instance.
@@ -26,32 +26,32 @@ bool ReHype::Repair(hw::CpuId cpu, sim::Time /*detected_at*/,
   // --- Hardware initialization (Table II: 412 ms) --------------------------
   hv_.statics().RebootRestore();
   rec.Add(RecoveryPhase::kEarlyBoot, "early initialization of the boot CPU",
-          model_.rh_early_boot);
+          latency::kRhEarlyBoot);
   rec.Add(RecoveryPhase::kCpusOnline,
           "initialize and wait for other CPUs to come online",
-          model_.rh_cpus_online);
+          latency::kRhCpusOnline);
   hv_.platform().intc().ResetAll();
   rec.Add(RecoveryPhase::kApicSetup,
           "verify, connect and set up local APIC / IO-APIC",
-          model_.rh_apic_setup);
+          latency::kRhApicSetup);
   rec.Add(RecoveryPhase::kTscCalibrate, "initialize and calibrate TSC timer",
-          model_.rh_tsc_calibrate);
+          latency::kRhTscCalibrate);
 
   // --- Memory initialization (Table II: 266 ms at 8 GB) ----------------------
   rec.Add(RecoveryPhase::kRecordOldHeap, "record allocated pages of old heap",
-          model_.PerFrame(model_.rh_record_heap_ns_per_frame, mem_frames));
+          latency::PerFrame(latency::kRhRecordHeapNsPerFrame, mem_frames));
   if (enh_.frame_table_scan) {
     hv_.frames().ScanAndRepair();
     rec.Add(RecoveryPhase::kFrameTableScan,
             "restore and check consistency of page frame entries",
-            model_.FrameScan(mem_frames));
+            latency::FrameScan(mem_frames, enh_.frame_scan_parallelism));
   }
   rec.Add(RecoveryPhase::kReinitFrameDescriptors,
           "re-initialize page frame descriptors for un-preserved pages",
-          model_.PerFrame(model_.rh_reinit_desc_ns_per_frame, mem_frames));
+          latency::PerFrame(latency::kRhReinitDescNsPerFrame, mem_frames));
   hv_.heap().RecreateFreeList();
   rec.Add(RecoveryPhase::kRecreateHeap, "recreate the new heap",
-          model_.PerFrame(model_.rh_recreate_heap_ns_per_frame, mem_frames));
+          latency::PerFrame(latency::kRhRecreateHeapNsPerFrame, mem_frames));
 
   // --- State re-integration / reset --------------------------------------
   // A fresh instance has: zero IRQ nesting, unlocked locks, fresh scheduler
@@ -70,13 +70,13 @@ bool ReHype::Repair(hw::CpuId cpu, sim::Time /*detected_at*/,
   steps::SetupRequestRetries(hv_, enh_);
 
   // --- Misc (Table II: 35 ms) ------------------------------------------------
-  rec.Add(RecoveryPhase::kSmpInit, "SMP initialization", model_.rh_smp_init);
+  rec.Add(RecoveryPhase::kSmpInit, "SMP initialization", latency::kRhSmpInit);
   rec.Add(RecoveryPhase::kRelocateModules,
           "identify valid page frames, relocate boot modules",
-          model_.rh_relocate);
+          latency::kRhRelocate);
   rec.Add(RecoveryPhase::kMiscOthers,
           "others (retry setup, lock release, scheduler re-integration)",
-          model_.rh_misc_others);
+          latency::kRhMiscOthers);
 
   // 3. Resume: the boot reprogrammed every APIC timer.
   return true;

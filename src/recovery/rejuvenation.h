@@ -1,14 +1,17 @@
 // Proactive rejuvenation policy: turn integrity drift into recovery BEFORE
 // the corruption manifests.
 //
-// The reactive story is: corruption lands -> some handler eventually walks
-// into it -> panic/hang -> recovery. The proactive story cuts the middle
-// out: after `threshold` unexplained drift events (detect/drift_detector.h)
-// the policy reports the drift through Hypervisor::ReportError, which runs
-// the *configured* recovery mechanism — a microreset under NiLiHype — at an
-// epoch boundary, while the damage is still latent and no guest request is
-// wedged inside the hypervisor. Same mechanism, strictly better starting
-// conditions.
+// The panic path and the NMI watchdog only see corruption once it
+// *manifests* — a handler walks into the damaged structure and faults,
+// often hundreds of milliseconds after the stray write landed. The epoch
+// monitor (integrity/monitor.h) sees the damage at the first epoch boundary
+// after it lands. After `threshold` unexplained drift events the policy
+// reports the drift through Hypervisor::ReportError, in the DetectionEvent
+// vocabulary the other detectors speak (kind = panic, code =
+// kIntegrityDrift), which runs the *configured* recovery mechanism — a
+// microreset under NiLiHype — at an epoch boundary, while the damage is
+// still latent and no guest request is wedged inside the hypervisor. Same
+// mechanism, strictly better starting conditions.
 //
 // The policy never fires while a recovery is already in flight or the
 // platform is dead, and the recovery manager's attempt cap still applies —
@@ -16,8 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "hv/hypervisor.h"
+#include "integrity/monitor.h"
+#include "integrity/surface.h"
 
 namespace nlh::recovery {
 
@@ -27,15 +33,26 @@ class RejuvenationPolicy {
   RejuvenationPolicy(hv::Hypervisor& hv, int threshold)
       : hv_(hv), threshold_(threshold < 1 ? 1 : threshold) {}
 
-  // Feed from DriftDetector::SetOnDetection.
-  void OnDetection(const hv::DetectionEvent& ev) {
+  // Feed from EpochMonitor::SetOnDrift.
+  void OnDrift(const integrity::DriftEvent& drift) {
     ++drifts_seen_;
     if (hv_.dead() || hv_.frozen()) return;
     if (drifts_seen_ < triggered_floor_ + threshold_) return;
     // Consume the window: the next trigger needs `threshold` fresh drifts.
     triggered_floor_ = drifts_seen_;
     ++triggers_;
-    hv_.ReportError(ev);
+    hv::DetectionEvent ev;
+    ev.cpu = 0;
+    // Drift is a known-bad state observation, not a stall: the panic-path
+    // recovery flow applies (ternaries across the stack treat non-panic
+    // as hang, which would misroute this).
+    ev.kind = hv::DetectionKind::kPanic;
+    ev.code = hv::FailureCode::kIntegrityDrift;
+    ev.when = drift.at;
+    ev.detail = "unexplained integrity drift on " +
+                std::string(integrity::SubsystemName(drift.surface)) +
+                " at epoch " + std::to_string(drift.epoch);
+    hv_.ReportError(std::move(ev));
   }
 
   int threshold() const { return threshold_; }

@@ -5,8 +5,8 @@
 namespace nlh::recovery {
 
 SnapRes::SnapRes(hv::Hypervisor& hv, const EnhancementSet& enh,
-                 const LatencyModel& model, sim::Duration period)
-    : RecoveryMechanism(hv, enh, model), period_(period) {
+                 sim::Duration period)
+    : RecoveryMechanism(hv, enh), period_(period) {
   Capture();
   ScheduleNextCapture();
 }
@@ -24,8 +24,8 @@ void SnapRes::Capture() {
   // histogram so campaigns can aggregate it next to the recovery phases.
   // Counters are bumped directly, not via the instruction-step hook, so the
   // injector's instruction-counting trigger is unperturbed.
-  const sim::Duration cost = model_.PerFrame(
-      model_.sr_capture_ns_per_frame, hv_.platform().memory().num_frames());
+  const sim::Duration cost = latency::PerFrame(
+      latency::kSrCaptureNsPerFrame, hv_.platform().memory().num_frames());
   const std::uint64_t cycles = hv_.platform().CyclesForDuration(cost);
   hw::Cpu& cpu0 = hv_.platform().cpu(0);
   cpu0.RetireHvInstructions(cycles);
@@ -56,12 +56,12 @@ bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
   // 1. Freeze, exactly as NiLiHype: IPI all CPUs, park them in busy waits.
   hv_.FreezeForRecovery(cpu);
   rec.Add(RecoveryPhase::kFreeze, "freeze CPUs (IPIs, disable interrupts)",
-          model_.freeze);
+          latency::kFreeze);
 
   // 2. Discard every hypervisor execution thread (microreset core).
   hv_.DiscardAllHvStacks();
   rec.Add(RecoveryPhase::kDiscardThreads,
-          "discard hypervisor execution threads", model_.nl_discard_threads);
+          "discard hypervisor execution threads", latency::kNlDiscardThreads);
 
   // 3. Rollback: copy the last control-state snapshot back in place.
   //    prune_new=false keeps structures allocated after the capture (live
@@ -77,7 +77,7 @@ bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
           "roll back control state to snapshot (age " +
               std::to_string(sim::ToMillisF(detected_at - captured_at_)) +
               " ms)",
-          model_.PerFrame(model_.sr_rollback_ns_per_frame, frames));
+          latency::PerFrame(latency::kSrRollbackNsPerFrame, frames));
 
   // 4. Reconcile the preserved guest-facing state against the rolled-back
   //    control state. Scheduling metadata is rebuilt from the live vCPU
@@ -87,7 +87,7 @@ bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
   rec.Add(RecoveryPhase::kSchedMetadataRepair,
           "rebuild scheduling metadata from preserved vCPUs (" +
               std::to_string(repaired) + " fields)",
-          model_.nl_sched_repair);
+          latency::kNlSchedRepair);
 
   // In-flight requests are *current-timeline* state: their undo logs are
   // replayed so guest-visible critical variables reflect the request
@@ -98,13 +98,13 @@ bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
               std::to_string(st.undo_records_replayed) + " records, " +
               std::to_string(st.hypercalls_retried + st.syscalls_retried) +
               " retried, " + std::to_string(st.requests_lost) + " lost)",
-          model_.sr_replay_inflight);
+          latency::kSrReplayInflight);
 
   if (enh_.frame_table_scan) {
     hv_.frames().ScanAndRepair();
     rec.Add(RecoveryPhase::kFrameTableScan,
             "restore page-frame descriptor consistency",
-            model_.FrameScan(frames));
+            latency::FrameScan(frames, enh_.frame_scan_parallelism));
   }
 
   // Timer wheels rolled back to the snapshot: recurring events that fired
@@ -115,19 +115,19 @@ bool SnapRes::Repair(hw::CpuId cpu, sim::Time detected_at,
   rec.Add(RecoveryPhase::kReactivateTimers,
           "reactivate recurring timer events (" + std::to_string(reinserted) +
               " missing)",
-          model_.nl_reactivate);
+          latency::kNlReactivate);
 
   // 5. Ack pending/in-service interrupts shortly after the freeze, then
   //    reprogram the APICs from the rolled-back (now reconciled) timer
   //    state — both intrinsic to the mechanism, not enhancement-gated.
-  hv_.platform().queue().ScheduleAt(detected_at + model_.ack_delay,
+  hv_.platform().queue().ScheduleAt(detected_at + latency::kAckDelay,
                                     [this] { hv_.AckAllInterrupts(); });
   rec.Add(RecoveryPhase::kAckInterrupts,
           "acknowledge pending/in-service interrupts", sim::Microseconds(20));
   rec.Add(RecoveryPhase::kReprogramApic, "reprogram hardware (APIC) timers",
-          model_.nl_reprogram);
+          latency::kNlReprogram);
   rec.Add(RecoveryPhase::kResume, "resume (exit busy waits)",
-          model_.nl_resume);
+          latency::kNlResume);
   return true;
 }
 

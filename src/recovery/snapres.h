@@ -34,7 +34,6 @@ class SnapRes : public RecoveryMechanism {
   // capture chain on the platform's event queue. The chain skips epochs
   // where the hypervisor is frozen (mid-recovery) and ends when it dies.
   SnapRes(hv::Hypervisor& hv, const EnhancementSet& enh,
-          const LatencyModel& model = LatencyModel{},
           sim::Duration period = sim::Milliseconds(100));
 
   std::string Name() const override { return "SnapRes"; }

@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and histograms replacing
+// Metrics registry: named counters and histograms replacing
 // ad-hoc stat-struct field twiddling. One registry per simulated host
 // (campaigns parallelize across runs, each with its own registry), so no
 // atomics are needed. Metric objects are owned by the registry and their
@@ -36,21 +36,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double delta) { value_ += delta; }
-  double value() const { return value_; }
-
-  template <typename V>
-  void VisitState(V&& v) {
-    v(value_);
-  }
-
- private:
-  double value_ = 0;
 };
 
 // Exact-sample histogram (runs are short; memory is bounded by a sample
@@ -133,11 +118,6 @@ class MetricsRegistry {
     if (slot == nullptr) slot = std::make_unique<Counter>();
     return *slot;
   }
-  Gauge& GetGauge(const std::string& name) {
-    auto& slot = gauges_[name];
-    if (slot == nullptr) slot = std::make_unique<Gauge>();
-    return *slot;
-  }
   Histogram& GetHistogram(const std::string& name) {
     auto& slot = histograms_[name];
     if (slot == nullptr) slot = std::make_unique<Histogram>();
@@ -157,10 +137,11 @@ class MetricsRegistry {
     return it == histograms_.end() ? nullptr : it->second.get();
   }
 
-  // {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,...}}}
+  // {"counters":{...},"gauges":{},"histograms":{name:{count,mean,...}}}
   // Field order is deterministic: names are sorted at export time (the
   // live maps are unordered; nothing ordered is maintained on the
-  // registration path).
+  // registration path). "gauges" stays, empty, so the export's shape is
+  // unchanged for its readers.
   std::string ToJson() const {
     std::string out = "{\"counters\":{";
     bool first = true;
@@ -169,14 +150,7 @@ class MetricsRegistry {
       first = false;
       out += JsonStr(kv->first) + ":" + std::to_string(kv->second->value());
     }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto* kv : SortedByName(gauges_)) {
-      if (!first) out += ",";
-      first = false;
-      out += JsonStr(kv->first) + ":" + JsonNum(kv->second->value());
-    }
-    out += "},\"histograms\":{";
+    out += "},\"gauges\":{},\"histograms\":{";
     first = true;
     for (const auto* kv : SortedByName(histograms_)) {
       if (!first) out += ",";
@@ -203,7 +177,6 @@ class MetricsRegistry {
   template <typename V>
   void VisitState(V&& v) {
     VisitMap(v, counters_);
-    VisitMap(v, gauges_);
     VisitMap(v, histograms_);
   }
 
@@ -246,7 +219,6 @@ class MetricsRegistry {
   // unordered_map: O(1) name resolution at setup; unique_ptr: stable
   // addresses for handles and cached pointers.
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
-  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

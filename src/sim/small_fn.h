@@ -71,7 +71,6 @@ class SmallFn {
   // restores). Only valid when the callable is copy-constructible; every
   // callback the simulator schedules captures pointers and values, which
   // are. A non-copyable capture aborts loudly rather than corrupting state.
-  bool Clonable() const { return ops_ == nullptr || ops_->clone != nullptr; }
   SmallFn Clone() const {
     SmallFn out;
     if (ops_ != nullptr) {

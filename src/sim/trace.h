@@ -34,12 +34,6 @@ namespace nlh::sim {
 // Interned span-name id; index into the tracer's name table.
 using NameId = std::uint32_t;
 
-// Canonical integrity span names. The epoch monitor (integrity/monitor.cc)
-// interns these once at construction and emits instants by NameId, so the
-// per-epoch hot path never builds a string.
-inline constexpr const char kSpanIntegrityEpoch[] = "integrity:epoch";
-inline constexpr const char kSpanIntegrityDrift[] = "integrity:drift";
-
 struct TraceEvent {
   std::uint32_t id = 0;
   std::uint32_t parent = 0;  // 0 = root (no enclosing span)
@@ -235,37 +229,6 @@ class Tracer {
   std::uint32_t next_id_ = 1;
   std::vector<std::string> names_;                     // NameId -> name
   std::unordered_map<std::string, NameId> name_ids_;   // name -> NameId
-};
-
-// RAII span for scopes whose simulated duration is known at exit.
-// The caller supplies the end time explicitly (simulated time does not
-// advance implicitly inside a slice), defaulting to the start time.
-class TraceSpan {
- public:
-  TraceSpan() = default;
-  TraceSpan(Tracer& tracer, const std::string& name, int cpu, Time start)
-      : tracer_(&tracer), start_(start), end_(start) {
-    id_ = tracer.Begin(name, cpu, start);
-  }
-  TraceSpan(Tracer& tracer, NameId name, int cpu, Time start)
-      : tracer_(&tracer), start_(start), end_(start) {
-    id_ = tracer.Begin(name, cpu, start);
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan() {
-    if (tracer_ != nullptr && id_ != 0) tracer_->End(id_, end_);
-  }
-
-  void SetEnd(Time end) { end_ = end; }
-  Time start() const { return start_; }
-  std::uint32_t id() const { return id_; }
-
- private:
-  Tracer* tracer_ = nullptr;
-  std::uint32_t id_ = 0;
-  Time start_ = 0;
-  Time end_ = 0;
 };
 
 }  // namespace nlh::sim

@@ -131,6 +131,26 @@ TEST(CampaignToolCli, UnknownFaultClassExitsNonzeroListingValid) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+TEST(CampaignToolCli, UnknownSetupExitsNonzeroListingValid) {
+  // Any value other than "1appvm" used to run the 3AppVM setup.
+  const CliResult r = RunTool("--setup=2appvm --runs=1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown setup '2appvm'"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("valid: 1appvm 3appvm"), std::string::npos);
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, UnknownBenchmarkExitsNonzeroListingValid) {
+  // An unknown value used to run UnixBench.
+  const CliResult r = RunTool("--setup=1appvm --bench=gpu --runs=1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown benchmark 'gpu'"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("valid: unix blk net"), std::string::npos);
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
 TEST(CampaignToolCli, PrivVmPlantsOffsetWithUnitSuffixIsRejected) {
   // Same strict-parse contract as --snapshot-period: a trailing unit must
   // be rejected, not truncated into a silently different offset.
@@ -270,6 +290,21 @@ TEST(CampaignToolCli, UnknownPlacementPolicyExitsNonzeroListingValid) {
   EXPECT_NE(r.output.find("least-loaded"), std::string::npos);
   EXPECT_NE(r.output.find("first-fit"), std::string::npos);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, FleetRejectsFlagsItWouldIgnore) {
+  // Fleet mode configures its hosts itself; these used to change nothing.
+  for (const std::string flag :
+       {"--integrity", "--privvm-recovery", "--setup=1appvm",
+        "--snapshot-period=150", "--runs=3", "--verbose"}) {
+    const CliResult r = RunTool("--fleet --hosts=2 --tenants=1 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.output.find(name + " has no effect with --fleet"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  }
 }
 
 TEST(CampaignToolCli, FleetRunsEndToEndAndWritesJson) {

@@ -273,8 +273,8 @@ TEST(FleetApply, UnplacedTenantsDropEverythingToTheHorizon) {
 
 TEST(FleetApply, EvacuationRestartsSerializePerTargetHost) {
   // Two hosts only: both evacuees land on host 1 and restart one after the
-  // other (detect_grace 5 s, then 20 s each) — the second tenant is down
-  // for ~45 s, the first for ~25 s.
+  // other (kEvacuationDetectGrace 5 s, then kEvacuationRestartPerVm 20 s
+  // each) — the second tenant is down for ~45 s, the first for ~25 s.
   FleetConfig cfg = SyntheticConfig();
   cfg.hosts = 2;
   FleetSim sim(cfg);

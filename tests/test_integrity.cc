@@ -12,10 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "audit/finding.h"
 #include "core/campaign.h"
 #include "core/target_system.h"
-#include "detect/drift_detector.h"
 #include "fuzz/oracle.h"
 #include "hv/hypervisor.h"
 #include "hv/sched_ops.h"
@@ -56,7 +54,7 @@ class IntegrityTest : public ::testing::Test {
     mon_.Tick();  // epoch 2: the plant epoch
     ASSERT_EQ(mon_.drift_count(), 1u)
         << "expected exactly one drift on "
-        << integrity::SurfaceName(expected);
+        << integrity::SubsystemName(expected);
     EXPECT_EQ(mon_.first_drift_epoch(), 2);
     EXPECT_EQ(mon_.first_drift_surface(), expected);
     EXPECT_EQ(mon_.drift_per_surface()[static_cast<std::size_t>(expected)],
@@ -72,15 +70,6 @@ class IntegrityTest : public ::testing::Test {
   hv::DomainId dom_;
   hv::VcpuId vcpu_;
 };
-
-TEST_F(IntegrityTest, SurfaceSlugsMatchAuditSubsystems) {
-  // One key space: drift reports must aggregate under the same slugs as
-  // audit findings.
-  for (int i = 0; i < integrity::kNumSurfaces; ++i) {
-    EXPECT_EQ(integrity::SurfaceName(static_cast<integrity::Surface>(i)),
-              audit::AuditSubsystemName(static_cast<audit::AuditSubsystem>(i)));
-  }
-}
 
 TEST_F(IntegrityTest, QuietEpochsNoDrift) {
   mon_.Tick();
@@ -174,20 +163,24 @@ TEST_F(IntegrityTest, DriftTrailFingerprintsSequence) {
   EXPECT_EQ(mon_.drifts()[1].surface, integrity::Surface::kStatics);
 }
 
-TEST_F(IntegrityTest, DriftDetectorPromotesToDetectionEvent) {
-  detect::DriftDetector det(hv_, mon_);
+TEST_F(IntegrityTest, RejuvenationReportsDriftAsDetectionEvent) {
+  recovery::RejuvenationPolicy policy(hv_, /*threshold=*/1);
+  mon_.SetOnDrift(
+      [&](const integrity::DriftEvent& drift) { policy.OnDrift(drift); });
   std::vector<hv::DetectionEvent> events;
-  det.SetOnDetection(
+  hv_.SetErrorHandler(
       [&](const hv::DetectionEvent& ev) { events.push_back(ev); });
-  det.Install();
   mon_.Tick();
   hv_.statics().Corrupt(hv::StaticVar::kSchedOpsPtr);
   mon_.Tick();
   ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].cpu, 0);
   EXPECT_EQ(events[0].kind, hv::DetectionKind::kPanic);
   EXPECT_EQ(events[0].code, hv::FailureCode::kIntegrityDrift);
-  EXPECT_NE(events[0].detail.find("statics"), std::string::npos);
-  EXPECT_EQ(det.detections(), 1u);
+  EXPECT_EQ(events[0].when, mon_.first_drift_at());
+  EXPECT_EQ(events[0].detail,
+            "unexplained integrity drift on statics at epoch 2");
+  EXPECT_EQ(policy.triggers(), 1);
 }
 
 // --- Whole-system runs ------------------------------------------------------
@@ -214,7 +207,7 @@ TEST(IntegritySystemTest, CleanRunZeroDrift) {
   const auto& drifts = sys.integrity_monitor()->drifts();
   for (const integrity::DriftEvent& d : drifts) {
     ADD_FAILURE() << "unexplained drift on "
-                  << integrity::SurfaceName(d.surface) << " at epoch "
+                  << integrity::SubsystemName(d.surface) << " at epoch "
                   << d.epoch << " (t=" << d.at << ")";
   }
   EXPECT_EQ(r.integrity_drifts, 0u);

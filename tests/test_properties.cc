@@ -187,9 +187,8 @@ TEST(FleetProperty, RandomEventMixesConserveRequests) {
               r.hosts_lost * cfg.tenants_per_host)
         << "seed " << seed;
     // Bad ticks are bounded by the tenant-tick grid.
-    const std::uint64_t ticks =
-        static_cast<std::uint64_t>((cfg.horizon_s + cfg.slo.tick_seconds - 1) /
-                                   cfg.slo.tick_seconds);
+    const std::uint64_t ticks = static_cast<std::uint64_t>(
+        (cfg.horizon_s + fleet::kSloTickSeconds - 1) / fleet::kSloTickSeconds);
     EXPECT_LE(r.bad_tenant_ticks,
               ticks * static_cast<std::uint64_t>(cfg.TotalTenants()));
   }

@@ -89,11 +89,10 @@ TEST_F(RecoveryTest, ReHypeLatencyMatchesTableII) {
 }
 
 TEST_F(RecoveryTest, LatencyScalesWithMemory) {
-  const LatencyModel model;
   const std::uint64_t frames8 = (8ULL << 30) / 4096;
   const std::uint64_t frames64 = (64ULL << 30) / 4096;
-  EXPECT_NEAR(sim::ToMillisF(model.FrameScan(frames8)), 21.0, 0.5);
-  EXPECT_NEAR(sim::ToMillisF(model.FrameScan(frames64)), 8 * 21.0, 4.0);
+  EXPECT_NEAR(sim::ToMillisF(latency::FrameScan(frames8, 1)), 21.0, 0.5);
+  EXPECT_NEAR(sim::ToMillisF(latency::FrameScan(frames64, 1)), 8 * 21.0, 4.0);
 }
 
 TEST_F(RecoveryTest, NiLiHypeClearsStrandedIrqCounts) {

@@ -180,7 +180,7 @@ TEST_F(SnapResTest, RecoveryReportCarriesRollbackAndReplaySteps) {
 
 TEST_F(SnapResTest, PeriodicCaptureChainFollowsConfiguredCadence) {
   recovery::SnapRes mech(hv_, recovery::EnhancementSet::Full(),
-                         recovery::LatencyModel{}, sim::Milliseconds(100));
+                         sim::Milliseconds(100));
   EXPECT_EQ(mech.captures(), 1u);  // initial capture at construction
   platform_.queue().RunUntil(hv_.Now() + sim::Milliseconds(550));
   EXPECT_EQ(mech.captures(), 6u);  // + one per 100 ms epoch

@@ -40,19 +40,6 @@ TEST(Tracer, SpansNestAndCarrySimulatedTime) {
   EXPECT_EQ(evs[2].end - evs[2].start, sim::Milliseconds(1));
 }
 
-TEST(Tracer, RaiiSpanEndsAtExplicitEnd) {
-  sim::Tracer tr;
-  tr.Enable();
-  {
-    sim::TraceSpan span(tr, "scope", 2, sim::Microseconds(100));
-    span.SetEnd(sim::Microseconds(250));
-  }
-  const auto evs = tr.Snapshot();
-  ASSERT_EQ(evs.size(), 1u);
-  EXPECT_EQ(evs[0].cpu, 2);
-  EXPECT_EQ(evs[0].end - evs[0].start, sim::Microseconds(150));
-}
-
 TEST(Tracer, DisabledTracerRecordsNothing) {
   sim::Tracer tr;  // never enabled
   EXPECT_EQ(tr.Begin("a", 0, 0), 0u);

@@ -13,6 +13,7 @@
 #include "core/campaign.h"
 #include "core/config.h"
 #include "core/outcome.h"
+#include "core/target_system.h"
 
 namespace nlh::core {
 namespace {
@@ -115,6 +116,60 @@ TEST(WarmForkGolden, AuditedRunsMatchCold) {
   std::vector<RunConfig> configs = MakeConfigs(Mechanism::kNiLiHype, 4, 5000);
   for (RunConfig& cfg : configs) cfg.audit = true;
   ExpectWarmMatchesCold(configs);
+}
+
+// Every guest's failure flags. The PrivVM's never reach the RunResult, so
+// a PrivVM RNG stream drawn from the wrong seed shows only here.
+std::string GuestFailures(TargetSystem& sys) {
+  std::ostringstream o;
+  const auto add = [&o](const guest::GuestKernel& g) {
+    o << " [" << g.name() << "|" << g.crashed() << "|" << g.io_errors() << "|"
+      << g.syscall_failures() << "|" << g.process_failed() << "]";
+  };
+  add(sys.privvm());
+  for (const auto& vm : sys.appvms()) add(*vm);
+  return o.str();
+}
+
+// Forks every run off one template captured before all their triggers and
+// compares each with the cold run of its seed, guest failure flags
+// included.
+void ExpectRearmMatchesCold(std::vector<RunConfig> configs) {
+  // Without FS/GS saving and hypercall retry, every recovery notifies the
+  // guests it interrupted (OnFsGsLost, OnHypercallLost), and each
+  // notification draws that guest's RNG.
+  for (RunConfig& cfg : configs) {
+    cfg.enhancements.save_fs_gs = false;
+    cfg.enhancements.hypercall_retry = false;
+  }
+  RunConfig tmpl = configs[0];
+  tmpl.inject = false;
+  TargetSystem warm(tmpl);
+  warm.RunUntil(tmpl.inject_window_start);
+  TargetSystem::ForkImage img;
+  warm.CaptureForkImage(&img);
+  for (const RunConfig& cfg : configs) {
+    TargetSystem cold(cfg);
+    const std::string want = Canon(cold.Run());
+    warm.RestoreForkImage(img);
+    warm.RearmForSeed(cfg);
+    EXPECT_EQ(Canon(warm.Run()), want) << "seed=" << cfg.seed;
+    EXPECT_EQ(GuestFailures(warm), GuestFailures(cold)) << "seed=" << cfg.seed;
+  }
+}
+
+TEST(WarmForkGolden, GuestRngDrawsAfterTheForkMatchCold) {
+  // RearmForSeed must reseed the PrivVM and AppVM streams exactly as a
+  // cold boot seeds them. In the 3AppVM setup the interrupted guests are
+  // the AppVMs; with one BlkBench AppVM the PrivVM is busy serving it, and
+  // is interrupted too.
+  ExpectRearmMatchesCold(MakeConfigs(Mechanism::kNiLiHype, 12, 9000));
+  std::vector<RunConfig> blk;
+  for (int i = 0; i < 16; ++i) {
+    blk.push_back(RunConfig::OneAppVm(guest::BenchmarkKind::kBlkBench));
+    blk.back().seed = 9000 + static_cast<std::uint64_t>(i);
+  }
+  ExpectRearmMatchesCold(blk);
 }
 
 TEST(WarmForkCampaign, EveryCampaignRunMatchesRunMany) {
