@@ -99,6 +99,8 @@
 //                    mode reads only --mechanism, --fault, --seed,
 //                    --threads, --hosts, --tenants, --fleet-horizon,
 //                    --placement and --fleet-out; any other flag exits 2.
+//                    Without --fleet, --hosts, --tenants, --fleet-horizon,
+//                    --placement and --fleet-out exit 2.
 // --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
 #include <cstdint>
@@ -404,21 +406,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Fleet mode reads only the shared flags and its own; every other mode
+  // reads no fleet flag. Either way a flag the mode ignores exits 2.
+  static const char* const kFleetOnlyFlags[] = {
+      "--hosts", "--tenants", "--fleet-horizon", "--placement", "--fleet-out"};
+  static const char* const kFleetSharedFlags[] = {
+      "--fleet", "--mechanism", "--fault", "--seed", "--threads"};
+  const auto listed = [](const auto& list, const std::string& flag) {
+    return std::find(std::begin(list), std::end(list), flag) != std::end(list);
+  };
+  for (const std::string& flag : flags_given) {
+    const bool fleet_only = listed(kFleetOnlyFlags, flag);
+    if (fleet_mode && !fleet_only && !listed(kFleetSharedFlags, flag)) {
+      std::printf("%s has no effect with --fleet\n", flag.c_str());
+      Usage();
+      return 2;
+    }
+    if (!fleet_mode && fleet_only) {
+      std::printf("%s has no effect without --fleet\n", flag.c_str());
+      Usage();
+      return 2;
+    }
+  }
+
   // --- Fleet mode (src/fleet/) ----------------------------------------------
   if (fleet_mode) {
-    // Fleet mode reads only these; any other flag would be silently ignored.
-    static const char* const kFleetFlags[] = {
-        "--fleet",   "--mechanism", "--fault",     "--seed",
-        "--threads", "--hosts",     "--tenants",   "--fleet-horizon",
-        "--placement", "--fleet-out"};
-    for (const std::string& flag : flags_given) {
-      if (std::find(std::begin(kFleetFlags), std::end(kFleetFlags), flag) ==
-          std::end(kFleetFlags)) {
-        std::printf("%s has no effect with --fleet\n", flag.c_str());
-        Usage();
-        return 2;
-      }
-    }
     fleet_cfg.mechanism = cfg.mechanism;
     fleet_cfg.master_seed = opts.seed0;
     // Fault class rides along (--fault=register/memory gives the fleet

@@ -1,7 +1,9 @@
 #include "fuzz/scenario.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace nlh::fuzz {
 
@@ -52,11 +54,30 @@ bool TriggerFromName(const std::string& name, inject::TriggerKind* out) {
 }
 
 // Typed field extraction; every getter fails loudly so corpus files with
-// drifted schemas are rejected instead of half-parsed.
+// drifted schemas are rejected instead of half-parsed. A number must be an
+// integer that fits its field: casting 1e20 to an integer is undefined, and
+// 2.5 would be silently truncated.
 bool GetI64(const sim::JsonValue& obj, const char* key, std::int64_t* out) {
   const sim::JsonValue* v = obj.Find(key);
   if (v == nullptr || v->type != sim::JsonValue::Type::kNumber) return false;
-  *out = static_cast<std::int64_t>(v->number);
+  const double d = v->number;
+  // [-2^63, 2^63): both bounds are exact doubles, and NaN fails the test.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) ||
+      d != std::trunc(d)) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(d);
+  return true;
+}
+
+// A count field: an integer in [0, INT_MAX].
+bool GetCount(const sim::JsonValue& obj, const char* key, int* out) {
+  std::int64_t v = 0;
+  if (!GetI64(obj, key, &v) || v < 0 ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
   return true;
 }
 
@@ -173,7 +194,6 @@ bool Scenario::FromJson(const sim::JsonValue& v, Scenario* out) {
 
   Scenario s;
   std::string seed_hex, setup_name, bench_name, fault_name, trigger_name;
-  std::int64_t unixbench = 0, blkfiles = 0, netms = 0, skip = 0;
   if (!GetStr(v, "seed", &seed_hex) || !ParseHexU64(seed_hex, &s.seed)) {
     return false;
   }
@@ -181,14 +201,11 @@ bool Scenario::FromJson(const sim::JsonValue& v, Scenario* out) {
     return false;
   if (!GetStr(v, "bench", &bench_name) || !BenchFromName(bench_name, &s.bench))
     return false;
-  if (!GetI64(v, "unixbench_iterations", &unixbench) ||
-      !GetI64(v, "blkbench_files", &blkfiles) ||
-      !GetI64(v, "netbench_ms", &netms)) {
+  if (!GetCount(v, "unixbench_iterations", &s.unixbench_iterations) ||
+      !GetCount(v, "blkbench_files", &s.blkbench_files) ||
+      !GetCount(v, "netbench_ms", &s.netbench_ms)) {
     return false;
   }
-  s.unixbench_iterations = static_cast<int>(unixbench);
-  s.blkbench_files = static_cast<int>(blkfiles);
-  s.netbench_ms = static_cast<int>(netms);
   if (!GetBool(v, "vm3_at_start", &s.vm3_at_start) ||
       !GetBool(v, "share_cpu", &s.share_cpu) || !GetBool(v, "hvm", &s.hvm) ||
       !GetBool(v, "inject", &s.inject)) {
@@ -214,8 +231,7 @@ bool Scenario::FromJson(const sim::JsonValue& v, Scenario* out) {
       !TriggerFromName(trigger_name, &s.trigger.kind)) {
     return false;
   }
-  if (!GetI64(v, "trigger_skip", &skip)) return false;
-  s.trigger.skip = static_cast<int>(skip);
+  if (!GetCount(v, "trigger_skip", &s.trigger.skip)) return false;
 
   const sim::JsonValue* plants = v.Find("plants");
   if (plants == nullptr || !plants->IsArray()) return false;

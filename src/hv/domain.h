@@ -41,8 +41,10 @@ struct Domain {
   // Present bit of the guest PTE covering each frame of the base range
   // (index = frame - first_frame). mmu_update(map) requires absent,
   // mmu_update(unmap) requires present — re-executing a completed update
-  // therefore fails exactly like Xen's PTE validation would.
-  std::vector<bool> pte_present;
+  // therefore fails exactly like Xen's PTE validation would. One byte per
+  // frame, not vector<bool>: the mmu_update path reads and writes it on
+  // every call, and a byte needs no bit masking.
+  std::vector<std::uint8_t> pte_present;
 
   EventChannelTable evtchn;
   GrantTable grants;

@@ -1,7 +1,5 @@
 #include "hv/hypercall_defs.h"
 
-#include <array>
-
 namespace nlh::hv {
 
 std::string_view HypercallName(HypercallCode c) {
@@ -38,7 +36,7 @@ std::string_view HypercallName(HypercallCode c) {
 
 namespace {
 
-std::array<HypercallTraits, kNumHypercalls> BuildTraits() {
+constexpr std::array<HypercallTraits, kNumHypercalls> BuildTraits() {
   std::array<HypercallTraits, kNumHypercalls> t{};
   auto set = [](HypercallTraits& tr, bool idem, bool enhanced,
                 double tolerated, bool priv) {
@@ -101,9 +99,7 @@ std::array<HypercallTraits, kNumHypercalls> BuildTraits() {
 
 }  // namespace
 
-const HypercallTraits& TraitsOf(HypercallCode c) {
-  static const std::array<HypercallTraits, kNumHypercalls> kTraits = BuildTraits();
-  return kTraits[static_cast<std::size_t>(c)];
-}
+constexpr std::array<HypercallTraits, kNumHypercalls> kHypercallTraits =
+    BuildTraits();
 
 }  // namespace nlh::hv

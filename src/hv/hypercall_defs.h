@@ -8,6 +8,8 @@
 // lost (abandoned without the retry enhancement).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -75,6 +77,12 @@ struct HypercallTraits {
   bool priv_only = false;         // PrivVM-only call
 };
 
-const HypercallTraits& TraitsOf(HypercallCode c);
+// Indexed by code; a constant-initialized table, so a lookup is one load
+// with no first-use guard (Dispatch reads it on every hypercall).
+extern const std::array<HypercallTraits, kNumHypercalls> kHypercallTraits;
+
+inline const HypercallTraits& TraitsOf(HypercallCode c) {
+  return kHypercallTraits[static_cast<std::size_t>(c)];
+}
 
 }  // namespace nlh::hv

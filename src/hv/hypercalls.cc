@@ -83,25 +83,17 @@ std::uint64_t Hypervisor::Dispatch(OpContext& ctx, Vcpu& vc,
   throw HvPanic("unknown hypercall");
 }
 
-std::uint64_t Hypervisor::DispatchOne(OpContext& ctx, Vcpu& vc,
-                                      HypercallCode code, std::uint64_t arg0,
-                                      std::uint64_t arg1, std::uint64_t arg2) {
-  HypercallArgs a;
-  a.arg0 = arg0;
-  a.arg1 = arg1;
-  a.arg2 = arg2;
-  return Dispatch(ctx, vc, code, a);
-}
-
 // ---------------------------------------------------------------------------
 // Memory management
 // ---------------------------------------------------------------------------
 
 namespace {
 // Resolves a guest-relative frame index to a physical frame of the domain.
+// Guests almost always pass an in-range index; only others pay the divide.
 FrameNumber GuestFrame(const Domain& dom, std::uint64_t index) {
   HvAssert(dom.num_frames > 0, "domain has no memory");
-  return dom.first_frame + (index % dom.num_frames);
+  return dom.first_frame +
+         (index < dom.num_frames ? index : index % dom.num_frames);
 }
 }  // namespace
 
@@ -471,18 +463,18 @@ std::uint64_t Hypervisor::DoSetTimer(OpContext& ctx, Vcpu& vc,
   statics_.Use(StaticVar::kTimerSubsysState);
   ctx.Step(cost::kSetTimerOp, "set-timer");
   TimerHeap& th = timers(vc.pinned_cpu);
-  const std::string name = "vtimer:" + std::to_string(vc.id);
+  std::string name = "vtimer:" + std::to_string(vc.id);
   th.RemoveByName(name);
   vc.vtimer_deadline = deadline > 0 ? deadline : 0;
   NLH_INTEGRITY_NOTE(&ledger_, integrity::Surface::kTimer);
   if (deadline > 0) {
     SoftTimer t;
-    t.name = name;
+    t.name = std::move(name);
     t.deadline = deadline;
     t.period = 0;
     const VcpuId v = vc.id;
     t.callback = [this, v] { DeliverVirqTimer(v); };
-    th.Insert(t);
+    th.Insert(std::move(t));
     ProgramApicFromHeap(vc.pinned_cpu);
     ctx.Step(cost::kApicReprogram, "set-timer-reprogram");
   }
@@ -661,6 +653,9 @@ std::uint64_t Hypervisor::DoMulticall(OpContext& ctx, Vcpu& vc,
   const int start = vc.inflight.multicall_progress;
   const int n = static_cast<int>(a.batch.size());
   ctx.Step(100, "multicall-setup");
+  // One argument block for every component: a component's arguments are
+  // its two words, with arg2 zero and no batch of its own.
+  HypercallArgs component;
   for (int i = start; i < n; ++i) {
     const MulticallEntry& e = a.batch[static_cast<std::size_t>(i)];
     // Batch component boundary: the injector's trigger-event conditions can
@@ -669,7 +664,9 @@ std::uint64_t Hypervisor::DoMulticall(OpContext& ctx, Vcpu& vc,
     if (op_observer_) {
       op_observer_(OpEventKind::kMulticallComponent, e.code, ctx.cpu().id());
     }
-    DispatchOne(ctx, vc, e.code, e.arg0, e.arg1, 0);
+    component.arg0 = e.arg0;
+    component.arg1 = e.arg1;
+    Dispatch(ctx, vc, e.code, component);
     // Component complete: its effects are final. Drop its undo records and
     // log progress (Section IV fine-granularity batched retry).
     vc.inflight.undo.Clear();

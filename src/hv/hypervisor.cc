@@ -201,7 +201,7 @@ DomainId Hypervisor::CreateDomainDirect(const std::string& name,
   dom.evtchn_obj = heap_.Alloc("evtchn:" + name, 1, /*with_lock=*/true);
   dom.first_frame = frames_.Alloc(num_frames, FrameType::kDomainPage, id);
   dom.num_frames = num_frames;
-  dom.pte_present.assign(num_frames, false);
+  dom.pte_present.assign(num_frames, 0);
 
   Vcpu vc;
   vc.id = static_cast<VcpuId>(vcpus_.size());
@@ -270,7 +270,7 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
     ++percpu_[static_cast<std::size_t>(cpu)].watchdog_soft_count;
     NLH_INTEGRITY_NOTE(&ledger_, integrity::Surface::kPerCpu);
   };
-  th.Insert(wd);
+  th.Insert(std::move(wd));
 
   SoftTimer ts;
   ts.name = "time_sync";
@@ -278,7 +278,7 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
   ts.period = kTimeSyncPeriod;
   ts.is_system_recurring = true;
   ts.callback = [this] { statics_.Use(StaticVar::kTscKhz); };
-  th.Insert(ts);
+  th.Insert(std::move(ts));
 
   if (sched_tick_enabled_[static_cast<std::size_t>(cpu)]) {
     SoftTimer st;
@@ -287,7 +287,7 @@ void Hypervisor::RegisterRecurringTimers(hw::CpuId cpu) {
     st.period = kSchedTickPeriod;
     st.is_system_recurring = true;
     st.callback = [this, cpu] { need_resched_[static_cast<std::size_t>(cpu)] = true; };
-    th.Insert(st);
+    th.Insert(std::move(st));
   }
 }
 
@@ -302,7 +302,7 @@ void Hypervisor::StartSchedTick(hw::CpuId cpu) {
     st.period = kSchedTickPeriod;
     st.is_system_recurring = true;
     st.callback = [this, cpu] { need_resched_[static_cast<std::size_t>(cpu)] = true; };
-    th.Insert(st);
+    th.Insert(std::move(st));
     ProgramApicFromHeap(cpu);
   }
 }
@@ -318,7 +318,7 @@ void Hypervisor::EnsureRecurring(hw::CpuId cpu, const std::string& name,
   t.period = period;
   t.is_system_recurring = true;
   t.callback = std::move(cb);
-  th.Insert(t);
+  th.Insert(std::move(t));
   if (missing != nullptr) ++(*missing);
 }
 
@@ -326,15 +326,15 @@ void Hypervisor::RearmVcpuTimers() {
   for (Vcpu& vc : vcpus_) {
     if (vc.vtimer_deadline <= 0) continue;
     TimerHeap& th = timers(vc.pinned_cpu);
-    const std::string name = "vtimer:" + std::to_string(vc.id);
+    std::string name = "vtimer:" + std::to_string(vc.id);
     if (th.ContainsName(name)) continue;
     SoftTimer t;
-    t.name = name;
+    t.name = std::move(name);
     t.deadline = std::max(vc.vtimer_deadline, Now() + sim::Microseconds(100));
     t.period = 0;
     const VcpuId v = vc.id;
     t.callback = [this, v] { DeliverVirqTimer(v); };
-    th.Insert(t);
+    th.Insert(std::move(t));
   }
 }
 

@@ -361,9 +361,6 @@ class Hypervisor {
   // --- Hypercall dispatch (exposed for the retry path and white-box tests) --
   std::uint64_t Dispatch(OpContext& ctx, Vcpu& vc, HypercallCode code,
                          const HypercallArgs& args);
-  std::uint64_t DispatchOne(OpContext& ctx, Vcpu& vc, HypercallCode code,
-                            std::uint64_t arg0, std::uint64_t arg1,
-                            std::uint64_t arg2);
 
  private:
   // --- IRQ / softirq paths ---------------------------------------------------

@@ -2,12 +2,15 @@
 // path, scheduler invocation, idle poll, recovery step).
 //
 // Handlers are written as sequences of Step() calls that mutate real
-// hypervisor structures. Step() retires instructions on the owning CPU and
+// hypervisor structures. Step() adds to the context's instruction total and
 // invokes the platform's step hook, which is where the fault injector's
 // instruction-counting trigger lives — so a simulated fault lands *between*
 // two real mutations, leaving genuine partial state behind when the thread
 // is abandoned (C++ unwinding carries the abandonment; locks acquired via
-// Lock() deliberately stay held).
+// Lock() deliberately stay held). The total is retired on the owning CPU's
+// counter once, when the context closes — unwinding included — so the
+// counter reads the same sum per-step charging would, and nothing reads it
+// while a context is open.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +48,14 @@ class OpContext {
   OpContext(const OpContext&) = delete;
   OpContext& operator=(const OpContext&) = delete;
 
-  // Retires `n` hypervisor instructions. May throw HvPanic/HvHang — either
+  ~OpContext() { cpu_.RetireHvInstructions(instructions_); }
+
+  // Executes `n` hypervisor instructions. May throw HvPanic/HvHang — either
   // from the injector hook (a fault fires here) or from a mutation that a
-  // previous corruption made invalid.
-  void Step(std::uint64_t n, const char* what) {
+  // previous corruption made invalid. Counted before the hook runs, so a
+  // fault firing on this step still charges it.
+  [[gnu::always_inline]] void Step(std::uint64_t n, const char* what) {
     (void)what;
-    cpu_.RetireHvInstructions(n);
     instructions_ += n;
     platform_.OnHvStep(cpu_, n);
   }
@@ -58,11 +63,11 @@ class OpContext {
   // Lock acquisition through the context. NOT RAII: if the handler is
   // abandoned mid-execution, the lock stays held — the abandoned simulated
   // thread never runs its unlock path. Recovery must force-release it.
-  void Lock(SpinLock& lock) {
+  [[gnu::always_inline]] void Lock(SpinLock& lock) {
     Step(25, "lock");
     lock.Acquire(cpu_.id());
   }
-  void Unlock(SpinLock& lock) {
+  [[gnu::always_inline]] void Unlock(SpinLock& lock) {
     lock.Release(cpu_.id());
     Step(15, "unlock");
   }

@@ -88,27 +88,45 @@ void TimerHeap::CorruptEntry(std::size_t index, bool push_out) {
   // place, exactly as a stray write would.
 }
 
+// Both sifts move a hole instead of swapping: the sifted timer is held in a
+// local, the entries it passes shift into the hole, and it is written once
+// where it settles. The comparisons, and so the final order (ties
+// included), are exactly those of a swapping sift.
 void TimerHeap::SiftUp(std::size_t i) {
+  if (i == 0 || entries_[(i - 1) / 2].deadline <= entries_[i].deadline) return;
+  SoftTimer moving = std::move(entries_[i]);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (entries_[parent].deadline <= entries_[i].deadline) break;
-    std::swap(entries_[parent], entries_[i]);
+    if (entries_[parent].deadline <= moving.deadline) break;
+    entries_[i] = std::move(entries_[parent]);
     i = parent;
   }
+  entries_[i] = std::move(moving);
 }
 
 void TimerHeap::SiftDown(std::size_t i) {
   const std::size_t n = entries_.size();
-  while (true) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    if (l < n && entries_[l].deadline < entries_[smallest].deadline) smallest = l;
-    if (r < n && entries_[r].deadline < entries_[smallest].deadline) smallest = r;
-    if (smallest == i) return;
-    std::swap(entries_[i], entries_[smallest]);
-    i = smallest;
-  }
+  // The child that must move up into slot `at`, or `at` if none.
+  const auto smaller_child = [this, n](std::size_t at, sim::Time deadline) {
+    std::size_t smallest = at;
+    const std::size_t l = 2 * at + 1;
+    const std::size_t r = 2 * at + 2;
+    if (l < n && entries_[l].deadline < deadline) {
+      smallest = l;
+      deadline = entries_[l].deadline;
+    }
+    if (r < n && entries_[r].deadline < deadline) smallest = r;
+    return smallest;
+  };
+  std::size_t child = smaller_child(i, entries_[i].deadline);
+  if (child == i) return;
+  SoftTimer moving = std::move(entries_[i]);
+  do {
+    entries_[i] = std::move(entries_[child]);
+    i = child;
+    child = smaller_child(i, moving.deadline);
+  } while (child != i);
+  entries_[i] = std::move(moving);
 }
 
 }  // namespace nlh::hv

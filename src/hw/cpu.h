@@ -68,7 +68,9 @@ class Cpu {
 
   // --- Counters ---------------------------------------------------------
   // Retired-instruction count while executing hypervisor code; the fault
-  // injector's second-level trigger counts these (Section VI-C).
+  // injector's second-level trigger counts these (Section VI-C) through the
+  // step hook. hv::OpContext charges an entry's total when the entry ends,
+  // so the counter is exact between hypervisor entries, not inside one.
   std::uint64_t hv_instructions() const { return hv_instructions_; }
   void RetireHvInstructions(std::uint64_t n) { hv_instructions_ += n; }
 

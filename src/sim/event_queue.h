@@ -13,12 +13,19 @@
 //  - The heap is a 4-ary min-heap of 24-byte plain structs ordered by
 //    (when, seq); `seq` is a per-schedule monotonic counter, giving the
 //    same FIFO-among-equal-timestamps order as the previous id-ordered
-//    binary heap.
+//    binary heap. Sifts move a hole instead of swapping.
+//  - Events scheduled for the current instant (a third of all schedules:
+//    CPU kicks, wakeups) skip the heap and go to a FIFO lane. The run order
+//    is still exactly (when, seq): a heap entry stamped Now() was scheduled
+//    before the clock reached Now(), so it precedes every lane entry and
+//    runs first; lane entries run in schedule order; and the clock cannot
+//    advance past Now() until the lane drains.
 //  - Cancellation bumps the slot's generation counter (O(1)) and frees the
-//    slot; the stale heap entry is skipped when it surfaces. EventId packs
-//    (generation << 32 | slot), so a recycled slot never honours an old id.
+//    slot; the stale heap or lane entry is skipped when it surfaces.
+//    EventId packs (generation << 32 | slot), so a recycled slot never
+//    honours an old id.
 //  - ReleaseStorage()/adopting constructor let a campaign worker recycle
-//    the slab and heap buffers across runs (core::RunArena) without
+//    the slab, heap and lane buffers across runs (core::RunArena) without
 //    carrying any logical state between runs.
 #pragma once
 
@@ -54,25 +61,26 @@ struct EventHeapEntry {
   std::uint32_t gen;
 };
 
+// Zero-delay lane entry: its time is the queue's Now() and its order is
+// its position in the lane.
+struct EventLaneEntry {
+  std::uint32_t slot;
+  std::uint32_t gen;
+};
+
 class EventQueue {
  public:
   // Recyclable buffers (no logical state): see core::RunArena.
   struct Storage {
     std::vector<EventSlot> slots;
     std::vector<EventHeapEntry> heap;
+    std::vector<EventLaneEntry> lane;
     std::vector<std::uint32_t> free_slots;
   };
 
   EventQueue() = default;
   // Adopts recycled buffers: capacity is reused, contents are discarded.
-  explicit EventQueue(Storage&& recycled)
-      : slots_(std::move(recycled.slots)),
-        heap_(std::move(recycled.heap)),
-        free_(std::move(recycled.free_slots)) {
-    slots_.clear();
-    heap_.clear();
-    free_.clear();
-  }
+  explicit EventQueue(Storage&& recycled) { Adopt(std::move(recycled)); }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -81,13 +89,8 @@ class EventQueue {
   // first ScheduleAt; once anything has been scheduled it is a no-op, so
   // pending events can never be dropped.
   void AdoptStorage(Storage&& recycled) {
-    if (!slots_.empty() || !heap_.empty()) return;
-    slots_ = std::move(recycled.slots);
-    heap_ = std::move(recycled.heap);
-    free_ = std::move(recycled.free_slots);
-    slots_.clear();
-    heap_.clear();
-    free_.clear();
+    if (!slots_.empty()) return;
+    Adopt(std::move(recycled));
   }
 
   // Tears down all pending events and hands the buffers back for reuse.
@@ -95,15 +98,18 @@ class EventQueue {
     for (EventSlot& s : slots_) s.fn.Reset();
     slots_.clear();
     heap_.clear();
+    lane_.clear();
+    lane_head_ = 0;
     free_.clear();
     live_ = 0;
-    return Storage{std::move(slots_), std::move(heap_), std::move(free_)};
+    return Storage{std::move(slots_), std::move(heap_), std::move(lane_),
+                   std::move(free_)};
   }
 
   // Deep snapshot of the whole queue: pending callbacks are cloned (see
-  // SmallFn::Clone), the heap / free list / clock / sequence counter are
-  // copied. Restoring re-clones from the image, so one capture can seed any
-  // number of restores (the warm-fork campaign runner restores the same
+  // SmallFn::Clone), the heap / lane / free list / clock / sequence counter
+  // are copied. Restoring re-clones from the image, so one capture can seed
+  // any number of restores (the warm-fork campaign runner restores the same
   // epoch image once per run). Move-only because EventSlot holds SmallFn.
   struct Image {
     Time now = 0;
@@ -111,6 +117,7 @@ class EventQueue {
     std::size_t live = 0;
     std::vector<EventSlot> slots;
     std::vector<EventHeapEntry> heap;
+    std::vector<EventLaneEntry> lane;  // pending lane entries, in order
     std::vector<std::uint32_t> free_slots;
   };
 
@@ -127,6 +134,8 @@ class EventQueue {
       img.slots.push_back(std::move(c));
     }
     img.heap = heap_;
+    img.lane.assign(lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_),
+                    lane_.end());
     img.free_slots = free_;
     return img;
   }
@@ -141,6 +150,8 @@ class EventQueue {
       slots_.push_back(std::move(c));
     }
     heap_ = img.heap;
+    lane_ = img.lane;
+    lane_head_ = 0;
     free_ = img.free_slots;
     now_ = img.now;
     next_seq_ = img.next_seq;
@@ -158,7 +169,6 @@ class EventQueue {
   // Schedules `fn` at an absolute time (clamped to be no earlier than Now()).
   template <typename F>
   EventId ScheduleAt(Time when, F&& fn) {
-    if (when < now_) when = now_;
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -169,7 +179,11 @@ class EventQueue {
     }
     EventSlot& s = slots_[slot];
     s.fn = SmallFn(std::forward<F>(fn));
-    HeapPush(EventHeapEntry{when, next_seq_++, slot, s.gen});
+    if (when <= now_) {
+      lane_.push_back(EventLaneEntry{slot, s.gen});
+    } else {
+      HeapPush(EventHeapEntry{when, next_seq_++, slot, s.gen});
+    }
     ++live_;
     return MakeId(slot, s.gen);
   }
@@ -192,30 +206,21 @@ class EventQueue {
   // Runs the next pending event, advancing the clock. Returns false if the
   // queue is empty.
   bool RunOne() {
-    while (!heap_.empty()) {
-      const EventHeapEntry top = heap_.front();
-      HeapPop();
-      EventSlot& s = slots_[top.slot];
-      if (s.gen != top.gen) continue;  // cancelled; slot already freed
-      now_ = top.when;
-      // Move the callback to a local before freeing the slot: the callback
-      // may schedule events, growing the slab and reusing this slot.
-      SmallFn fn = std::move(s.fn);
-      FreeSlot(top.slot);
-      --live_;
-      fn();
-      return true;
-    }
-    return false;
+    std::uint32_t slot;
+    if (!PopNext(&slot)) return false;
+    // Move the callback to a local before freeing the slot: the callback
+    // may schedule events, growing the slab and reusing this slot.
+    SmallFn fn = std::move(slots_[slot].fn);
+    FreeSlot(slot);
+    --live_;
+    fn();
+    return true;
   }
 
   // Runs events until the clock passes `deadline` or the queue drains.
   // Events stamped exactly at `deadline` still run.
   void RunUntil(Time deadline) {
-    while (!heap_.empty()) {
-      if (NextTime() > deadline) break;
-      RunOne();
-    }
+    while (!Empty() && NextTime() <= deadline) RunOne();
     if (now_ < deadline) now_ = deadline;
   }
 
@@ -226,15 +231,18 @@ class EventQueue {
     }
   }
 
-  // Timestamp of the earliest pending (non-cancelled) event.
+  // Timestamp of the earliest pending (non-cancelled) event. Stale entries
+  // for cancelled events are dropped on the way.
   Time NextTime() {
+    while (!lane_.empty()) {
+      const EventLaneEntry& e = lane_[lane_head_];
+      if (slots_[e.slot].gen == e.gen) return now_;  // heap entries are >= now_
+      PopLane();
+    }
     while (!heap_.empty()) {
       const EventHeapEntry& top = heap_.front();
-      if (slots_[top.slot].gen != top.gen) {
-        HeapPop();  // stale entry for a cancelled event
-        continue;
-      }
-      return top.when;
+      if (slots_[top.slot].gen == top.gen) return top.when;
+      HeapPop();
     }
     return std::numeric_limits<Time>::max();
   }
@@ -242,6 +250,49 @@ class EventQueue {
  private:
   static EventId MakeId(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
+  }
+
+  void Adopt(Storage&& recycled) {
+    slots_ = std::move(recycled.slots);
+    heap_ = std::move(recycled.heap);
+    lane_ = std::move(recycled.lane);
+    free_ = std::move(recycled.free_slots);
+    slots_.clear();
+    heap_.clear();
+    lane_.clear();
+    lane_head_ = 0;
+    free_.clear();
+  }
+
+  // Pops the earliest live event in (when, seq) order into `*slot`,
+  // advancing the clock. Heap entries are never earlier than now_, and one
+  // stamped now_ precedes the whole lane (see the header comment).
+  bool PopNext(std::uint32_t* slot) {
+    while (true) {
+      if (!heap_.empty() && (lane_.empty() || heap_.front().when <= now_)) {
+        const EventHeapEntry top = heap_.front();
+        HeapPop();
+        if (slots_[top.slot].gen != top.gen) continue;  // cancelled
+        now_ = top.when;
+        *slot = top.slot;
+        return true;
+      }
+      if (lane_.empty()) return false;
+      const EventLaneEntry e = lane_[lane_head_];
+      PopLane();
+      if (slots_[e.slot].gen != e.gen) continue;  // cancelled
+      *slot = e.slot;
+      return true;
+    }
+  }
+
+  // The lane is a vector read from lane_head_; it is reset once drained,
+  // which happens before the clock can advance.
+  void PopLane() {
+    if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
   }
 
   // Invalidates any outstanding EventId / heap entry for `slot` and returns
@@ -261,21 +312,25 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void HeapPush(EventHeapEntry e) {
+  // Both sifts carry the moving entry in a local and shift the entries it
+  // passes into the hole, writing it once where it settles.
+  void HeapPush(const EventHeapEntry& e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!Less(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
+      if (!Less(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
+    heap_[i] = e;
   }
 
   void HeapPop() {
-    const std::size_t n = heap_.size() - 1;
-    heap_[0] = heap_[n];
+    const EventHeapEntry last = heap_.back();
     heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
     std::size_t i = 0;
     while (true) {
       const std::size_t first_child = 4 * i + 1;
@@ -285,10 +340,11 @@ class EventQueue {
       for (std::size_t c = first_child + 1; c < last_child; ++c) {
         if (Less(heap_[c], heap_[best])) best = c;
       }
-      if (!Less(heap_[best], heap_[i])) break;
-      std::swap(heap_[i], heap_[best]);
+      if (!Less(heap_[best], last)) break;
+      heap_[i] = heap_[best];
       i = best;
     }
+    heap_[i] = last;
   }
 
   Time now_ = 0;
@@ -296,6 +352,8 @@ class EventQueue {
   std::size_t live_ = 0;
   std::vector<EventSlot> slots_;
   std::vector<EventHeapEntry> heap_;
+  std::vector<EventLaneEntry> lane_;
+  std::size_t lane_head_ = 0;  // next lane entry to run
   std::vector<std::uint32_t> free_;
 };
 

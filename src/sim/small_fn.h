@@ -8,11 +8,16 @@
 // the wrapper; larger ones fall back to a single heap allocation. The
 // wrapper is relocated with the target's move constructor via a static
 // ops table (invoke / relocate / destroy), so moving a SmallFn never
-// allocates and invoking it is one indirect call.
+// allocates and invoking it is one indirect call. Trivially copyable
+// callables (lambdas capturing pointers and integers: nearly every event
+// the simulator schedules) and heap-stored ones have no relocate or
+// destroy op: they move by copying the buffer bytes and need no
+// destructor call, so moving and destroying them makes no indirect call.
 #pragma once
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -83,7 +88,7 @@ class SmallFn {
 
   void Reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
@@ -91,7 +96,9 @@ class SmallFn {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
+    // Move-construct dst, destroy src; null when a byte copy does both.
+    void (*relocate)(void* dst, void* src);
+    // Null when the stored object is trivially destructible.
     void (*destroy)(void* storage);
     // Copy-construct a clone of src's callable into dst; null when the
     // callable is not copy-constructible (such a SmallFn cannot be cloned).
@@ -114,25 +121,39 @@ class SmallFn {
   }
 
   template <typename Fn>
-  static constexpr Ops kInlineOps = {
-      /*invoke=*/[](void* s) { (*static_cast<Fn*>(s))(); },
-      /*relocate=*/
-      [](void* dst, void* src) {
+  static constexpr auto RelocateOp() -> void (*)(void*, void*) {
+    if constexpr (std::is_trivially_copyable_v<Fn>) {
+      return nullptr;
+    } else {
+      return [](void* dst, void* src) {
         Fn* from = static_cast<Fn*>(src);
         ::new (dst) Fn(std::move(*from));
         from->~Fn();
-      },
-      /*destroy=*/[](void* s) { static_cast<Fn*>(s)->~Fn(); },
+      };
+    }
+  }
+
+  template <typename Fn>
+  static constexpr auto DestroyOp() -> void (*)(void*) {
+    if constexpr (std::is_trivially_destructible_v<Fn>) {
+      return nullptr;
+    } else {
+      return [](void* s) { static_cast<Fn*>(s)->~Fn(); };
+    }
+  }
+
+  template <typename Fn>
+  static constexpr Ops kInlineOps = {
+      /*invoke=*/[](void* s) { (*static_cast<Fn*>(s))(); },
+      /*relocate=*/RelocateOp<Fn>(),
+      /*destroy=*/DestroyOp<Fn>(),
       /*clone=*/CloneOp<Fn, /*Heap=*/false>(),
   };
 
   template <typename Fn>
   static constexpr Ops kHeapOps = {
       /*invoke=*/[](void* s) { (**static_cast<Fn**>(s))(); },
-      /*relocate=*/
-      [](void* dst, void* src) {
-        ::new (dst) Fn*(*static_cast<Fn**>(src));
-      },
+      /*relocate=*/nullptr,  // the buffer holds only the owning pointer
       /*destroy=*/[](void* s) { delete *static_cast<Fn**>(s); },
       /*clone=*/CloneOp<Fn, /*Heap=*/true>(),
   };
@@ -140,7 +161,11 @@ class SmallFn {
   void MoveFrom(SmallFn& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineSize);
+      }
       other.ops_ = nullptr;
     }
   }

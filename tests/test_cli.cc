@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 
 namespace {
 
@@ -305,6 +306,58 @@ TEST(CampaignToolCli, FleetRejectsFlagsItWouldIgnore) {
         << r.output;
     EXPECT_NE(r.output.find("usage:"), std::string::npos);
   }
+}
+
+TEST(CampaignToolCli, CampaignRejectsFleetOnlyFlags) {
+  // Outside --fleet these used to be parsed and then ignored: same bytes
+  // out, no --fleet-out file, exit 0.
+  const std::string out = ::testing::TempDir() + "fleet_only_flag.json";
+  for (const std::string& flag :
+       {std::string("--hosts=5"), std::string("--tenants=2"),
+        std::string("--fleet-horizon=9"), std::string("--placement=first-fit"),
+        "--fleet-out=" + out}) {
+    const CliResult r = RunTool("--runs=2 --threads=1 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.output.find(name + " has no effect without --fleet"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  }
+  EXPECT_TRUE(ReadFile(out).empty());
+}
+
+TEST(CampaignToolCli, ReplayRejectsScenarioNumbersThatDoNotFitTheirField) {
+  // A committed reproducer hand-edited to a value its field cannot hold
+  // must not replay (it used to, with exit 0).
+  const std::string repro = std::string(NLH_CORPUS_DIR) +
+                            "/repro_06605030e73f5fbf.json";
+  const std::string text = ReadFile(repro);
+  ASSERT_FALSE(text.empty()) << repro;
+  const std::string path = ::testing::TempDir() + "replay_bad_number.json";
+  const std::pair<const char*, const char*> cases[] = {
+      {"netbench_ms", "99999999999999999999"},
+      {"unixbench_iterations", "-1"},
+      {"unixbench_iterations", "2.5"},
+      {"unixbench_iterations", "2147483648"},
+  };
+  for (const auto& [field, value] : cases) {
+    const std::string key = "\"" + std::string(field) + "\":";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t end = text.find_first_of(",}", at + key.size());
+    std::string edited = text;
+    edited.replace(at + key.size(), end - at - key.size(), value);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(edited.data(), 1, edited.size(), f);
+    std::fclose(f);
+    const CliResult r = RunTool("--replay=" + path);
+    EXPECT_EQ(r.exit_code, 2) << field << "=" << value << "\n" << r.output;
+    EXPECT_NE(r.output.find("malformed scenario"), std::string::npos)
+        << r.output;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CampaignToolCli, FleetRunsEndToEndAndWritesJson) {

@@ -9,7 +9,11 @@
 // NLH_CORPUS_DIR is injected by CMake and points at the source-tree corpus.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <regex>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "fuzz/corpus.h"
 #include "fuzz/oracle.h"
@@ -43,6 +47,55 @@ TEST(CorpusShipment, SpansAtLeastFourAuditSubsystems) {
   }
   EXPECT_GE(subsystems.size(), 4u)
       << "corpus reproducers cover too few audit subsystems";
+}
+
+std::string ReadText(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return text;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+TEST(CorpusLoad, RejectsScenarioNumbersThatDoNotFitTheirField) {
+  // A hand-edited reproducer must be refused, not replayed with a value
+  // the cast made up: 1e20 does not fit an int64 (the cast is undefined),
+  // 2.5 is not an integer, 2^31 does not fit the int field, and a count
+  // cannot be negative.
+  const std::vector<std::string> paths = CorpusPaths();
+  ASSERT_FALSE(paths.empty());
+  const std::string text = ReadText(paths.front());
+  const std::string path = ::testing::TempDir() + "nlh_bad_number.json";
+  const std::pair<const char*, const char*> cases[] = {
+      {"netbench_ms", "99999999999999999999"},
+      {"netbench_ms", "-1"},
+      {"unixbench_iterations", "-1"},
+      {"unixbench_iterations", "2.5"},
+      {"unixbench_iterations", "2147483648"},
+      {"blkbench_files", "-1"},
+      {"trigger_skip", "-1"},
+      {"inject_at_ns", "1e300"},
+      {"inject_at_ns", "0.5"},
+  };
+  for (const auto& [field, value] : cases) {
+    SCOPED_TRACE(std::string(field) + "=" + value);
+    const std::regex number("\"" + std::string(field) + "\":-?[0-9]+");
+    ASSERT_TRUE(std::regex_search(text, number));
+    const std::string edited = std::regex_replace(
+        text, number, "\"" + std::string(field) + "\":" + value);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(edited.data(), 1, edited.size(), f);
+    std::fclose(f);
+    fuzz::LoadedReproducer rep;
+    std::string err;
+    EXPECT_FALSE(fuzz::LoadReproducer(path, &rep, &err));
+    EXPECT_NE(err.find("malformed scenario"), std::string::npos) << err;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CorpusRegression, EveryReproducerReplaysByteForByte) {

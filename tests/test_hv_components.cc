@@ -139,16 +139,42 @@ class OpContextTest : public ::testing::Test {
   RuntimeOptions options_;
 };
 
-TEST_F(OpContextTest, StepRetiresAndInvokesHook) {
+TEST_F(OpContextTest, StepsInvokeHookAndCloseRetiresOnce) {
+  // The hook sees every step as it happens (the injector's countdown needs
+  // them); the CPU's retired-instruction counter is charged once, with the
+  // context's total, when the context closes.
   std::uint64_t hooked = 0;
   platform_.SetHvStepHook([&](hw::Cpu&, std::uint64_t n) { hooked += n; });
-  OpContext ctx(platform_, platform_.cpu(0), options_,
-                HvContextKind::kHypercall, nullptr, nullptr);
-  ctx.Step(100, "a");
-  ctx.Step(50, "b");
-  EXPECT_EQ(ctx.instructions(), 150u);
+  {
+    OpContext ctx(platform_, platform_.cpu(0), options_,
+                  HvContextKind::kHypercall, nullptr, nullptr);
+    ctx.Step(100, "a");
+    ctx.Step(50, "b");
+    EXPECT_EQ(ctx.instructions(), 150u);
+    EXPECT_EQ(hooked, 150u);
+    EXPECT_EQ(platform_.cpu(0).hv_instructions(), 0u);  // still open
+  }
   EXPECT_EQ(platform_.cpu(0).hv_instructions(), 150u);
-  EXPECT_EQ(hooked, 150u);
+}
+
+TEST_F(OpContextTest, UnwindingChargesEveryStepIncludingTheFaultingOne) {
+  // A fault fires from the hook on the second step, abandoning the handler:
+  // both steps still count, exactly as when each step charged the CPU.
+  int calls = 0;
+  platform_.SetHvStepHook([&](hw::Cpu&, std::uint64_t) {
+    if (++calls == 2) throw HvPanic("fault on the second step");
+  });
+  EXPECT_THROW(
+      {
+        OpContext ctx(platform_, platform_.cpu(0), options_,
+                      HvContextKind::kHypercall, nullptr, nullptr);
+        ctx.Step(100, "a");
+        ctx.Step(50, "b");
+        ctx.Step(25, "never reached");
+      },
+      HvPanic);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(platform_.cpu(0).hv_instructions(), 150u);
 }
 
 TEST_F(OpContextTest, LockThroughContextIsNotRaii) {

@@ -255,7 +255,9 @@ TEST_F(HypervisorTest, UndoLogRestoresCriticalVariables) {
   vc.inflight.undo.Clear();
   OpContext ctx(platform_, platform_.cpu(1), hv_.options(),
                 HvContextKind::kHypercall, &vc, &vc.inflight.undo);
-  hv_.DispatchOne(ctx, vc, HypercallCode::kPageTablePin, 9, 0, 0);
+  HypercallArgs args;
+  args.arg0 = 9;
+  hv_.Dispatch(ctx, vc, HypercallCode::kPageTablePin, args);
   EXPECT_TRUE(hv_.frames().desc(f).validated);
   vc.inflight.undo.UnwindAll();  // recovery's mitigation step
   EXPECT_FALSE(hv_.frames().desc(f).validated);
@@ -270,7 +272,9 @@ TEST_F(HypervisorTest, LoggingDisabledMeansNoUndoRecords) {
   vc.inflight.undo.Clear();
   OpContext ctx(platform_, platform_.cpu(1), hv_.options(),
                 HvContextKind::kHypercall, &vc, &vc.inflight.undo);
-  hv_.DispatchOne(ctx, vc, HypercallCode::kPageTablePin, 11, 0, 0);
+  HypercallArgs args;
+  args.arg0 = 11;
+  hv_.Dispatch(ctx, vc, HypercallCode::kPageTablePin, args);
   EXPECT_TRUE(vc.inflight.undo.empty());
 }
 

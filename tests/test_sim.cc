@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -244,62 +246,104 @@ TEST(EventQueueTest, AdoptStorageAfterUseIsNoop) {
   EXPECT_EQ(ran, 1);
 }
 
-// Randomized property test: the pooled 4-ary-heap queue must execute the
-// exact sequence a reference model (ordered multimap + cancellation set)
-// prescribes, under a random mix of schedules and cancels.
+// Randomized property test: the pooled queue (4-ary heap plus zero-delay
+// lane) must execute the exact sequence a reference model (ordered map
+// keyed by (when, schedule order)) prescribes, under a random mix of
+// schedules and cancels, made both from outside and by the running
+// callbacks themselves, as hypervisor handlers do. Every so often, while
+// the lane holds entries, the queue is imaged, run ahead, restored, and
+// run again: both passes must match the model.
 TEST(EventQueueTest, RandomizedAgainstReferenceModel) {
-  Rng rng(0xc0ffee);
+  // Everything the callbacks touch, copied whole for the image round trip.
+  struct Model {
+    std::map<std::pair<Time, std::uint64_t>, int> events;  // key -> payload
+    // schedule order -> (queue id, model key)
+    std::map<std::uint64_t, std::pair<EventId, std::pair<Time, std::uint64_t>>>
+        live;
+    std::set<std::uint64_t> lane;  // live events scheduled for their instant
+    std::uint64_t next_tag = 0;
+    int next_payload = 0;
+    Rng rng{0xc0ffee};
+  };
+  Model m;
   EventQueue q;
-
-  // Reference model: events keyed by (when, schedule order).
-  std::map<std::pair<Time, std::uint64_t>, int> model;
-  std::set<int> model_cancelled;
-  std::map<std::uint64_t, std::pair<EventId, std::pair<Time, std::uint64_t>>>
-      live;  // schedule order -> (queue id, model key)
-  std::uint64_t next_tag = 0;
   std::vector<int> got;
 
-  auto schedule = [&](Time when, int payload) {
-    const std::uint64_t tag = next_tag++;
-    const EventId id = q.ScheduleAt(when, [&got, payload] {
+  const auto cancel_random = [&] {
+    auto it = m.live.begin();
+    std::advance(it, static_cast<long>(m.rng.Index(m.live.size())));
+    EXPECT_TRUE(q.Cancel(it->second.first));
+    m.events.erase(it->second.second);
+    m.lane.erase(it->first);
+    m.live.erase(it);
+  };
+  std::function<void(Time)> schedule = [&](Time when) {
+    const std::uint64_t tag = m.next_tag++;
+    const int payload = m.next_payload++;
+    const EventId id = q.ScheduleAt(when, [&, payload] {
       got.push_back(payload);
+      const double r = m.rng.Uniform();
+      if (r < 0.3) {
+        schedule(q.Now());  // zero delay: the lane
+      } else if (r < 0.5) {
+        schedule(q.Now() + static_cast<Time>(m.rng.Range(1, 50)));
+      }
+      if (m.rng.Uniform() < 0.2 && !m.live.empty()) cancel_random();
     });
     const std::pair<Time, std::uint64_t> key{when < q.Now() ? q.Now() : when,
                                              tag};
-    model.emplace(key, payload);
-    live.emplace(tag, std::make_pair(id, key));
+    m.events.emplace(key, payload);
+    m.live.emplace(tag, std::make_pair(id, key));
+    if (key.first == q.Now()) m.lane.insert(tag);
+  };
+  // Runs one event; the expected payload is the model's earliest entry,
+  // dropped from the model first so a callback cannot cancel it.
+  const auto run_one = [&](int step) {
+    const auto first = m.events.begin();
+    const int expect = first->second;
+    m.lane.erase(first->first.second);
+    m.live.erase(first->first.second);
+    m.events.erase(first);
+    ASSERT_TRUE(q.RunOne());
+    ASSERT_EQ(got.back(), expect) << "step " << step;
   };
 
+  int round_trips = 0;
+  bool round_trip_due = false;
   for (int step = 0; step < 2000; ++step) {
-    const double roll = rng.Uniform();
-    if (roll < 0.55 || live.empty()) {
-      schedule(q.Now() + static_cast<Time>(rng.Range(0, 50)),
-               static_cast<int>(step));
-    } else if (roll < 0.75) {
-      // Cancel a random live event; queue and model must agree it existed.
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.Index(live.size())));
-      EXPECT_TRUE(q.Cancel(it->second.first));
-      model.erase(it->second.second);
-      live.erase(it);
-    } else {
-      // Run one event; expected payload is the model's earliest entry.
-      if (!model.empty()) {
-        const int expect = model.begin()->second;
-        live.erase(model.begin()->first.second);
-        model.erase(model.begin());
-        ASSERT_TRUE(q.RunOne());
-        ASSERT_EQ(got.back(), expect) << "step " << step;
+    if (step % 50 == 0) round_trip_due = true;
+    if (round_trip_due && !m.lane.empty()) {
+      round_trip_due = false;
+      ++round_trips;
+      const EventQueue::Image img = q.CaptureImage();
+      const Model saved = m;
+      const std::size_t got_size = got.size();
+      std::vector<int> passes[2];
+      for (std::vector<int>& pass : passes) {
+        for (int k = 0; k < 8 && !m.events.empty(); ++k) {
+          run_one(step);
+          pass.push_back(got.back());
+        }
+        q.RestoreImage(img);
+        m = saved;
+        got.resize(got_size);
       }
+      EXPECT_EQ(passes[1], passes[0]) << "step " << step;
+      EXPECT_FALSE(passes[0].empty());
+    }
+    const double roll = m.rng.Uniform();
+    if (roll < 0.55 || m.live.empty()) {
+      schedule(q.Now() + static_cast<Time>(m.rng.Range(0, 50)));
+    } else if (roll < 0.75) {
+      cancel_random();  // queue and model must agree it existed
+    } else if (!m.events.empty()) {
+      run_one(step);
     }
   }
-  // Drain: remaining events run in model order.
-  while (!model.empty()) {
-    const int expect = model.begin()->second;
-    model.erase(model.begin());
-    ASSERT_TRUE(q.RunOne());
-    ASSERT_EQ(got.back(), expect);
-  }
+  EXPECT_GT(round_trips, 10);
+  // Drain: remaining events (and those their callbacks add) run in model
+  // order.
+  while (!m.events.empty()) run_one(-1);
   EXPECT_FALSE(q.RunOne());
   EXPECT_TRUE(q.Empty());
 }
@@ -325,6 +369,66 @@ TEST(SmallFnTest, InlineAndHeapCallablesWork) {
   SmallFn big_moved = std::move(big);
   big_moved();
   EXPECT_EQ(hits, 2);
+}
+
+TEST(SmallFnTest, TriviallyCopyableCallableMovesClonesAndResets) {
+  // Trivially copyable callables move by a byte copy and have no
+  // destructor to run; they must behave exactly like the others.
+  int hits = 0;
+  int* const out = &hits;
+  const auto bump = [out] { ++*out; };
+  static_assert(std::is_trivially_copyable_v<decltype(bump)>);
+  SmallFn a(bump);
+  SmallFn b = std::move(a);
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  SmallFn c = b.Clone();
+  b();
+  c();
+  EXPECT_EQ(hits, 2);
+  b.Reset();
+  EXPECT_FALSE(static_cast<bool>(b));
+  c();  // the clone does not depend on the reset original
+  EXPECT_EQ(hits, 3);
+  SmallFn d;
+  d = std::move(c);
+  d();
+  EXPECT_EQ(hits, 4);
+}
+
+TEST(SmallFnTest, NonTrivialCallableIsDestroyedExactlyOnce) {
+  // Counts destructions of live objects only; moved-from shells do not
+  // count, so relocation must not leak or double-destroy the callable.
+  struct Counted {
+    int* destroyed;
+    int* runs;
+    bool live = true;
+    Counted(int* d, int* r) : destroyed(d), runs(r) {}
+    Counted(const Counted& o) : destroyed(o.destroyed), runs(o.runs) {}
+    Counted(Counted&& o) noexcept : destroyed(o.destroyed), runs(o.runs) {
+      o.live = false;
+    }
+    ~Counted() {
+      if (live) ++*destroyed;
+    }
+    void operator()() const { ++*runs; }
+  };
+  static_assert(!std::is_trivially_copyable_v<Counted>);
+  int destroyed = 0, runs = 0;
+  {
+    SmallFn f{Counted(&destroyed, &runs)};
+    SmallFn g = std::move(f);
+    SmallFn h;
+    h = std::move(g);
+    h();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+  SmallFn k{Counted(&destroyed, &runs)};
+  k.Reset();
+  EXPECT_EQ(destroyed, 2);
+  k.Reset();  // already empty: nothing more to destroy
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(RngTest, DeterministicForSeed) {
