@@ -12,7 +12,10 @@
 // --mechanism accepts any slug in core::kMechanisms (core/config.h) and
 // rejects an unknown slug, listing the valid ones; so do --fault, --setup
 // and --bench. Every integer flag takes a plain decimal value; a malformed
-// or out-of-range one exits 2.
+// or out-of-range one exits 2. Each mode (campaign, replay, fuzzing,
+// corpus check, shrink, fleet) reads only its own flags, listed in
+// kFlagModes; any other flag exits 2 ("X has no effect with --fleet"), and
+// so does --bench without --setup=1appvm.
 // --snapshot-period sets the snapres capture cadence. Campaigns fork every
 // injection run off a warm template (core::RunCampaign), bit-identical to
 // booting each run cold. --verbose prints one line per run, in run order,
@@ -51,7 +54,7 @@
 // --trace-out replays the campaign's first run (seed0) with span tracing
 // enabled and writes a Chrome trace_event JSON (load in chrome://tracing or
 // Perfetto). --metrics-out writes the campaign aggregate plus the replayed
-// run's metrics registry as JSON.
+// run's counters and histograms (forensics::MetricsJson) as JSON.
 //
 // Forensics:
 // --dossier-dir=DIR  after the campaign, deterministically replay every
@@ -66,7 +69,11 @@
 //                    recovery phases, death), writes its dossier to
 //                    --dossier-dir (default "dossiers") and, with
 //                    --profile-out, a flamegraph.pl-compatible
-//                    collapsed-stack profile of the simulated time.
+//                    collapsed-stack profile of the simulated time. It
+//                    reads the flags that shape a run (--mechanism
+//                    --fault --setup --bench --snapshot-period
+//                    --privvm-recovery --privvm-plants --integrity
+//                    --proactive); the replay always audits.
 // --profile-out=F    write the collapsed-stack profile of the replayed run
 //                    (with --replay, or of the seed0 replay otherwise).
 // Fuzzing (src/fuzz/):
@@ -97,10 +104,7 @@
 //                    evacuations, request tallies, SLO-violation-minutes);
 //                    --fleet-out=FILE writes the FleetResult JSON. Fleet
 //                    mode reads only --mechanism, --fault, --seed,
-//                    --threads, --hosts, --tenants, --fleet-horizon,
-//                    --placement and --fleet-out; any other flag exits 2.
-//                    Without --fleet, --hosts, --tenants, --fleet-horizon,
-//                    --placement and --fleet-out exit 2.
+//                    --threads and its own flags.
 // --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
 #include <cstdint>
@@ -108,7 +112,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -139,26 +142,29 @@ bool WriteFile(const std::string& path, const std::string& content) {
 void Usage() {
   std::printf(
       "usage: campaign_tool [options]\n"
-      "  campaign: [--mechanism=SLUG] [--fault=failstop|register|code|memory]\n"
-      "            [--setup=1appvm|3appvm] [--bench=unix|blk|net] [--runs=N]\n"
-      "            [--seed=N] [--threads=N] [--snapshot-period=MS]\n"
-      "            [--privvm-recovery] [--privvm-plants[=OFFSET_US]] [--audit]\n"
-      "            [--audit-out=FILE.json]\n"
-      "            [--integrity] [--proactive[=THRESHOLD]]\n"
-      "            [--integrity-out=FILE.json]\n"
-      "            [--trace-out=FILE.json] [--metrics-out=FILE.json]\n"
-      "            [--dossier-dir=DIR] [--profile-out=FILE.folded] [--verbose]\n"
-      "  replay:   --replay=RUN_ID  (print the run's event narrative, write\n"
-      "            its dossier to --dossier-dir) | --replay=REPRO.json\n"
+      "  run:      [--mechanism=SLUG] [--fault=failstop|register|code|memory]\n"
+      "            [--setup=1appvm|3appvm]\n"
+      "            [--bench=unix|blk|net] (with --setup=1appvm)\n"
+      "            [--snapshot-period=MS] [--privvm-recovery]\n"
+      "            [--privvm-plants[=OFFSET_US]] [--integrity]\n"
+      "            [--proactive[=THRESHOLD]] [--dossier-dir=DIR]\n"
+      "            [--profile-out=FILE.folded]\n"
+      "  campaign: [run flags] [--runs=N] [--seed=N] [--threads=N]\n"
+      "            [--verbose] [--audit] [--audit-out=FILE.json]\n"
+      "            [--integrity-out=FILE.json] [--trace-out=FILE.json]\n"
+      "            [--metrics-out=FILE.json]\n"
+      "  replay:   --replay=RUN_ID [run flags]  (print the run's event\n"
+      "            narrative, write its dossier to --dossier-dir)\n"
+      "            | --replay=REPRO.json [--threads=N]\n"
       "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
       "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
-      "  corpus:   --corpus=DIR  (without --fuzz: replay every reproducer in\n"
-      "            DIR and verify its recorded verdicts byte-for-byte)\n"
+      "  corpus:   --corpus=DIR [--threads=N]  (without --fuzz: replay every\n"
+      "            reproducer in DIR and verify its verdicts byte-for-byte)\n"
       "  fleet:    --fleet [--hosts=N] [--tenants=N] [--fleet-horizon=S]\n"
       "            [--placement=least-loaded|first-fit] [--fleet-out=FILE.json]\n"
       "            [--mechanism=SLUG] [--fault=CLASS] [--seed=N] [--threads=N]\n"
-      "            (no other flag)\n"
-      "  shrink:   --shrink=REPRO.json [--shrink-evals=N]\n"
+      "  shrink:   --shrink=REPRO.json [--shrink-evals=N] [--threads=N]\n"
+      "each mode reads only the flags listed for it; any other flag exits 2\n"
       "see the header comment of examples/campaign_tool.cpp for details\n");
 }
 
@@ -211,6 +217,79 @@ int RunCorpusCheck(const std::string& dir, int threads) {
   std::printf("corpus check passed\n");
   return 0;
 }
+
+// The modes main() dispatches, in dispatch order: the first that applies
+// runs.
+enum Mode : unsigned {
+  kFleet = 1u << 0,       // --fleet
+  kReplayFile = 1u << 1,  // --replay=FILE.json
+  kShrink = 1u << 2,      // --shrink=FILE
+  kFuzz = 1u << 3,        // --fuzz=N
+  kCorpus = 1u << 4,      // --corpus=DIR without --fuzz
+  kReplayRun = 1u << 5,   // --replay=RUN_ID
+  kCampaign = 1u << 6,    // none of the above
+};
+constexpr unsigned kRunModes = kReplayRun | kCampaign;  // build a RunConfig
+
+// The flag that selects each mode but the campaign, for error messages.
+struct ModeFlagName {
+  Mode mode;
+  const char* flag;
+};
+constexpr ModeFlagName kModeFlags[] = {
+    {kFleet, "--fleet"},   {kReplayFile, "--replay=FILE"},
+    {kShrink, "--shrink"}, {kFuzz, "--fuzz"},
+    {kCorpus, "--corpus"}, {kReplayRun, "--replay=RUN_ID"},
+};
+const char* ModeFlag(Mode mode) {
+  for (const ModeFlagName& m : kModeFlags) {
+    if (m.mode == mode) return m.flag;
+  }
+  return "";
+}
+
+// Which modes read each flag: the one list of what a flag does where.
+// --bench is read only with --setup=1appvm.
+struct FlagModes {
+  const char* flag;
+  unsigned modes;
+};
+constexpr FlagModes kFlagModes[] = {
+    {"--mechanism", kFleet | kRunModes},
+    {"--fault", kFleet | kRunModes},
+    {"--seed", kFleet | kCampaign},
+    {"--threads", kFleet | kReplayFile | kShrink | kFuzz | kCorpus | kCampaign},
+    {"--setup", kRunModes},
+    {"--bench", kRunModes},
+    {"--snapshot-period", kRunModes},
+    {"--privvm-recovery", kRunModes},
+    {"--privvm-plants", kRunModes},
+    {"--integrity", kRunModes},
+    {"--proactive", kRunModes},
+    {"--dossier-dir", kRunModes},
+    {"--profile-out", kRunModes},
+    {"--runs", kCampaign},
+    {"--verbose", kCampaign},
+    {"--audit", kCampaign},  // a replay always audits
+    {"--audit-out", kCampaign},
+    {"--integrity-out", kCampaign},
+    {"--trace-out", kCampaign},
+    {"--metrics-out", kCampaign},
+    {"--replay", kReplayFile | kReplayRun},
+    {"--shrink", kShrink},
+    {"--shrink-evals", kShrink | kFuzz},
+    {"--fuzz", kFuzz},
+    {"--fuzz-seed", kFuzz},
+    {"--fuzz-all-mechs", kFuzz},
+    {"--max-corpus", kFuzz},
+    {"--corpus", kFuzz | kCorpus},
+    {"--fleet", kFleet},
+    {"--hosts", kFleet},
+    {"--tenants", kFleet},
+    {"--fleet-horizon", kFleet},
+    {"--placement", kFleet},
+    {"--fleet-out", kFleet},
+};
 
 }  // namespace
 
@@ -406,27 +485,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fleet mode reads only the shared flags and its own; every other mode
-  // reads no fleet flag. Either way a flag the mode ignores exits 2.
-  static const char* const kFleetOnlyFlags[] = {
-      "--hosts", "--tenants", "--fleet-horizon", "--placement", "--fleet-out"};
-  static const char* const kFleetSharedFlags[] = {
-      "--fleet", "--mechanism", "--fault", "--seed", "--threads"};
-  const auto listed = [](const auto& list, const std::string& flag) {
-    return std::find(std::begin(list), std::end(list), flag) != std::end(list);
-  };
+  // A flag the running mode does not read exits 2.
+  const Mode mode = fleet_mode               ? kFleet
+                    : !replay_path.empty()   ? kReplayFile
+                    : !shrink_path.empty()   ? kShrink
+                    : fuzz_iterations > 0    ? kFuzz
+                    : !corpus_dir.empty()    ? kCorpus
+                    : replay_mode            ? kReplayRun
+                                             : kCampaign;
   for (const std::string& flag : flags_given) {
-    const bool fleet_only = listed(kFleetOnlyFlags, flag);
-    if (fleet_mode && !fleet_only && !listed(kFleetSharedFlags, flag)) {
-      std::printf("%s has no effect with --fleet\n", flag.c_str());
-      Usage();
-      return 2;
+    unsigned reads = 0;
+    for (const FlagModes& f : kFlagModes) {
+      if (flag == f.flag) reads = f.modes;
     }
-    if (!fleet_mode && fleet_only) {
-      std::printf("%s has no effect without --fleet\n", flag.c_str());
-      Usage();
-      return 2;
+    if ((reads & mode) != 0 && (flag != "--bench" || one_appvm)) continue;
+    std::string why;
+    if ((reads & mode) != 0) {
+      why = "without --setup=1appvm";
+    } else if (mode != kCampaign) {
+      why = std::string("with ") + ModeFlag(mode);
+    } else {
+      for (const ModeFlagName& m : kModeFlags) {
+        if ((reads & m.mode) != 0) {
+          why += (why.empty() ? "without " : " or ") + std::string(m.flag);
+        }
+      }
     }
+    std::printf("%s has no effect %s\n", flag.c_str(), why.c_str());
+    Usage();
+    return 2;
   }
 
   // --- Fleet mode (src/fleet/) ----------------------------------------------
@@ -529,25 +616,7 @@ int main(int argc, char** argv) {
     return RunCorpusCheck(corpus_dir, opts.threads);
   }
 
-  if (one_appvm) {
-    const core::Mechanism mech = cfg.mechanism;
-    const inject::FaultType fault = cfg.fault;
-    const bool audit = cfg.audit;
-    const bool privvm_recovery = cfg.privvm_recovery;
-    const sim::Duration snapshot_period = cfg.snapshot_period;
-    const bool integrity = cfg.integrity;
-    const bool proactive = cfg.proactive;
-    const int proactive_threshold = cfg.proactive_threshold;
-    cfg = core::RunConfig::OneAppVm(bench);
-    cfg.mechanism = mech;
-    cfg.fault = fault;
-    cfg.audit = audit;
-    cfg.privvm_recovery = privvm_recovery;
-    cfg.snapshot_period = snapshot_period;
-    cfg.integrity = integrity;
-    cfg.proactive = proactive;
-    cfg.proactive_threshold = proactive_threshold;
-  }
+  if (one_appvm) cfg.SetOneAppVmWorkload(bench);
 
   if (privvm_plants) {
     // The correlated hypervisor+PrivVM failure mode: OFFSET after the
@@ -786,7 +855,7 @@ int main(int argc, char** argv) {
     if (!metrics_out.empty()) {
       std::string json = "{\"campaign\":" + res.ToJson() +
                          ",\"replay_seed0_metrics\":" +
-                         sys.hv().metrics().ToJson() + "}";
+                         forensics::MetricsJson(sys, replay) + "}";
       if (!WriteFile(metrics_out, json)) return 1;
       std::printf("metrics written to %s\n", metrics_out.c_str());
     }

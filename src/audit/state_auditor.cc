@@ -802,18 +802,6 @@ AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   if (snapshot != nullptr) run_pass(AuditSubsystem::kDiff);
 
   tracer.End(sweep_span, start + r.modeled_cost);
-
-  sim::MetricsRegistry& metrics = hv_.metrics();
-  metrics.GetCounter("audit.sweeps").Inc();
-  for (const AuditFinding& f : r.findings) {
-    metrics
-        .GetCounter(std::string("audit.findings.") +
-                    integrity::SubsystemName(f.subsystem))
-        .Inc();
-  }
-  metrics.GetHistogram("audit.sweep_ms").Observe(sim::ToMillisF(r.modeled_cost));
-  metrics.GetHistogram("audit.findings_per_sweep")
-      .Observe(static_cast<double>(r.findings.size()));
   return r;
 }
 

@@ -39,7 +39,7 @@ std::string Proportion::ToJson() const {
 namespace {
 
 // Folds the samples into a sim::Histogram so every campaign aggregate uses
-// the same interpolated quantile definition as the metrics registry.
+// the same interpolated quantile definition as --metrics-out.
 sim::Histogram HistogramOf(const std::vector<double>& samples) {
   sim::Histogram h;
   for (double s : samples) h.Observe(s);

@@ -165,16 +165,23 @@ struct RunConfig {
     return cfg;
   }
 
+  // Switches the workload to the 1AppVM setup running `bench`: the setup,
+  // the benchmark sizes, the injection window and the deadline. Every other
+  // field keeps its value.
+  void SetOneAppVmWorkload(guest::BenchmarkKind bench) {
+    setup = Setup::k1AppVM;
+    bench_1appvm = bench;
+    unixbench_iterations = 20000;  // ~1.4 s
+    blkbench_files = 2000;
+    netbench_duration = sim::Milliseconds(1500);
+    inject_window_start = sim::Milliseconds(150);
+    inject_window_end = sim::Milliseconds(1000);
+    run_deadline = sim::Seconds(4);
+  }
+
   static RunConfig OneAppVm(guest::BenchmarkKind bench) {
     RunConfig c;
-    c.setup = Setup::k1AppVM;
-    c.bench_1appvm = bench;
-    c.unixbench_iterations = 20000;  // ~1.4 s
-    c.blkbench_files = 2000;
-    c.netbench_duration = sim::Milliseconds(1500);
-    c.inject_window_start = sim::Milliseconds(150);
-    c.inject_window_end = sim::Milliseconds(1000);
-    c.run_deadline = sim::Seconds(4);
+    c.SetOneAppVmWorkload(bench);
     return c;
   }
 
@@ -183,7 +190,8 @@ struct RunConfig {
   // the state audit on, because the audit-clean vs latent-corruption split
   // is what drives the fleet's degraded-host model.
   static RunConfig FleetHost() {
-    RunConfig c = OneAppVm(guest::BenchmarkKind::kUnixBench);
+    RunConfig c;
+    c.SetOneAppVmWorkload(guest::BenchmarkKind::kUnixBench);
     c.audit = true;
     return c;
   }

@@ -2,12 +2,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
-#include "core/target_system.h"
 #include "forensics/profiler.h"
 #include "hv/failure.h"
 #include "inject/corruption.h"
+#include "recovery/snapres.h"
 #include "sim/json.h"
+#include "sim/metrics.h"
 
 namespace nlh::forensics {
 
@@ -122,6 +124,87 @@ std::string DetectionJson(const core::RunResult& r) {
          ",\"code\":" + sim::JsonStr(hv::FailureCodeName(ev.code)) +
          ",\"when_ns\":" + std::to_string(ev.when) +
          ",\"detail\":" + sim::JsonStr(ev.detail) + "}";
+}
+
+std::string MetricsJson(core::TargetSystem& sys, const core::RunResult& r) {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, sim::Histogram> histograms;
+  const hv::Hypervisor& hv = sys.hv();
+  const hv::HvStats& s = hv.stats();
+  counters["hv.hypercalls"] = s.hypercalls;
+  counters["hv.syscall_forwards"] = s.syscall_forwards;
+  counters["hv.interrupts"] = s.interrupts;
+  counters["hv.schedules"] = s.schedules;
+  counters["hv.timer_softirqs"] = s.timer_softirqs;
+  counters["hv.idle_polls"] = s.idle_polls;
+  counters["hv.events_sent"] = s.events_sent;
+  counters["hv.detections"] = s.detections;
+  counters["hv.recoveries"] = s.recoveries;
+  if (hv.dead()) {
+    counters[std::string("hv.dead.") + hv::FailureReasonName(hv.death_code())] =
+        1;
+  }
+  if (const integrity::EpochMonitor* m = sys.integrity_monitor()) {
+    counters["integrity.epochs"] = m->epochs();
+    counters["integrity.drifts"] = m->drift_count();
+  }
+  if (r.audited) {
+    counters["audit.sweeps"] = 1;
+    for (const audit::AuditFinding& f : r.audit_report.findings) {
+      ++counters[std::string("audit.findings.") +
+                 integrity::SubsystemName(f.subsystem)];
+    }
+    histograms["audit.sweep_ms"].Observe(
+        sim::ToMillisF(r.audit_report.modeled_cost));
+    histograms["audit.findings_per_sweep"].Observe(
+        static_cast<double>(r.audit_report.findings.size()));
+  }
+  // Each histogram takes its samples in the order the run produced them:
+  // snapshot captures, then recovery steps report by report.
+  recovery::RecoveryManager* manager = sys.recovery_manager();
+  if (const auto* snapres =
+          dynamic_cast<const recovery::SnapRes*>(manager->mechanism())) {
+    counters["snapres.captures"] = snapres->captures();
+    sim::Histogram& h = histograms["recovery.phase_ms.snapshot_capture"];
+    for (std::uint64_t i = 0; i < snapres->captures(); ++i) {
+      h.Observe(sim::ToMillisF(snapres->capture_cost()));
+    }
+  }
+  const auto add_steps = [&](const recovery::RecoveryReport& rep) {
+    for (const recovery::StepLatency& step : rep.steps) {
+      histograms[std::string("recovery.phase_ms.") +
+                 recovery::RecoveryPhaseName(step.phase)]
+          .Observe(sim::ToMillisF(step.latency));
+    }
+  };
+  for (const recovery::RecoveryReport& rep : manager->reports()) {
+    if (rep.gave_up) continue;  // it recorded no step
+    add_steps(rep);
+    histograms["recovery.total_ms"].Observe(sim::ToMillisF(rep.total()));
+  }
+  if (const recovery::PrivVmRecovery* pv = sys.privvm_recovery()) {
+    for (const recovery::RecoveryReport& rep : pv->reports()) add_steps(rep);
+  }
+
+  std::string out = "{\"counters\":{";
+  for (const auto& [name, value] : counters) {
+    if (out.back() != '{') out += ",";
+    out += sim::JsonStr(name) + ":" + std::to_string(value);
+  }
+  // "gauges" stays, empty, so the export keeps its shape for its readers.
+  out += "},\"gauges\":{},\"histograms\":{";
+  for (const auto& [name, h] : histograms) {
+    if (out.back() != '{') out += ",";
+    out += sim::JsonStr(name) + ":{\"count\":" + std::to_string(h.count()) +
+           ",\"sum\":" + sim::JsonNum(h.sum()) +
+           ",\"min\":" + sim::JsonNum(h.min()) +
+           ",\"max\":" + sim::JsonNum(h.max()) +
+           ",\"mean\":" + sim::JsonNum(h.Mean()) +
+           ",\"p50\":" + sim::JsonNum(h.Quantile(0.50)) +
+           ",\"p99\":" + sim::JsonNum(h.Quantile(0.99)) + "}";
+  }
+  out += "}}";
+  return out;
 }
 
 ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg,

@@ -21,6 +21,7 @@
 #include "core/campaign.h"
 #include "core/config.h"
 #include "core/outcome.h"
+#include "core/target_system.h"
 
 namespace nlh::forensics {
 
@@ -44,6 +45,12 @@ std::string ConfigJson(const core::RunConfig& cfg);
 std::string ResultJson(const core::RunResult& r);
 std::string InjectionJson(const core::RunResult& r);
 std::string DetectionJson(const core::RunResult& r);  // "null" if undetected
+
+// The run's counters and histograms, read from the members that hold them
+// (HvStats, the epoch monitor, SnapRes, the audit report and every
+// recovery report), as {"counters":{..},"gauges":{},"histograms":{..}}
+// with names sorted. `r` is what sys.Run() returned.
+std::string MetricsJson(core::TargetSystem& sys, const core::RunResult& r);
 
 // Deterministically re-executes run `run_id` of `base_cfg` (seed := run_id)
 // with the flight recorder, tracer and state audit enabled and assembles

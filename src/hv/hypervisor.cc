@@ -105,15 +105,6 @@ Hypervisor::Hypervisor(hw::Platform& platform, const HvConfig& config)
       config_(config),
       frames_(kFrameTableFrames),
       heap_(frames_) {
-  c_hypercalls_ = metrics_.CounterHandleFor("hv.hypercalls");
-  c_syscall_forwards_ = metrics_.CounterHandleFor("hv.syscall_forwards");
-  c_interrupts_ = metrics_.CounterHandleFor("hv.interrupts");
-  c_schedules_ = metrics_.CounterHandleFor("hv.schedules");
-  c_timer_softirqs_ = metrics_.CounterHandleFor("hv.timer_softirqs");
-  c_idle_polls_ = metrics_.CounterHandleFor("hv.idle_polls");
-  c_events_sent_ = metrics_.CounterHandleFor("hv.events_sent");
-  c_detections_ = metrics_.CounterHandleFor("hv.detections");
-  c_recoveries_ = metrics_.CounterHandleFor("hv.recoveries");
   for (int c = 0; c < kNumHypercalls; ++c) {
     span_hypercall_[static_cast<std::size_t>(c)] = tracer_.InternName(
         "hypercall:" +
@@ -124,20 +115,6 @@ Hypervisor::Hypervisor(hw::Platform& platform, const HvConfig& config)
   recorder_.SetClock([this] { return Now(); });
   frames_.SetLedger(&ledger_);
   heap_.SetLedger(&ledger_);
-}
-
-HvStats Hypervisor::stats() const {
-  HvStats s;
-  s.hypercalls = c_hypercalls_.value();
-  s.syscall_forwards = c_syscall_forwards_.value();
-  s.interrupts = c_interrupts_.value();
-  s.schedules = c_schedules_.value();
-  s.timer_softirqs = c_timer_softirqs_.value();
-  s.idle_polls = c_idle_polls_.value();
-  s.events_sent = c_events_sent_.value();
-  s.detections = c_detections_.value();
-  s.recoveries = c_recoveries_.value();
-  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -510,7 +487,7 @@ sim::Duration Hypervisor::HandleOneInterrupt(hw::CpuId cpu) {
 
   hw::Cpu& c = platform_.cpu(cpu);
   PerCpuData& pc = percpu_[static_cast<std::size_t>(cpu)];
-  c_interrupts_.Inc();
+  ++stats_.interrupts;
   NLH_RECORD(forensics::EventKind::kIrqDeliver, cpu,
              static_cast<std::uint64_t>(v));
 
@@ -554,7 +531,7 @@ sim::Duration Hypervisor::HandleOneInterrupt(hw::CpuId cpu) {
 
 void Hypervisor::TimerSoftirq(OpContext& ctx, hw::CpuId cpu) {
   CtxSpan span(*this, ctx, span_timer_softirq_, cpu);
-  c_timer_softirqs_.Inc();
+  ++stats_.timer_softirqs;
   if (op_observer_) {
     op_observer_(OpEventKind::kTimerSoftirq, HypercallCode::kXenVersion, cpu);
   }
@@ -587,7 +564,7 @@ void Hypervisor::TimerSoftirq(OpContext& ctx, hw::CpuId cpu) {
 
 void Hypervisor::IdlePoll(OpContext& ctx, hw::CpuId cpu) {
   (void)cpu;
-  c_idle_polls_.Inc();
+  ++stats_.idle_polls;
   ctx.Step(cost::kIdlePoll, "idle-poll");
 }
 
@@ -610,7 +587,7 @@ VcpuId Hypervisor::Schedule(OpContext& ctx, hw::CpuId cpu) {
   HvAssert(pc.local_irq_count == 0, "ASSERT !in_irq() in schedule()");
   statics_.Use(StaticVar::kSchedOpsPtr);
   statics_.Use(StaticVar::kPerCpuOffsets);
-  c_schedules_.Inc();
+  ++stats_.schedules;
 
   ctx.Lock(pc.sched_lock);
   ctx.Step(cost::kSchedule, "schedule");
@@ -711,7 +688,7 @@ void Hypervisor::SendEventToPort(DomainId dom, EventPort port, OpContext* ctx) {
   vc.pending_events |= (1ULL << port);
   NLH_INTEGRITY_NOTE(&ledger_, integrity::Surface::kEventChannel);
   if (ctx != nullptr) ctx->Step(60, "event-deliver");
-  c_events_sent_.Inc();
+  ++stats_.events_sent;
   WakeVcpu(target);
 }
 
@@ -724,7 +701,7 @@ std::uint64_t Hypervisor::Hypercall(VcpuId v, HypercallCode code,
   Vcpu& vc = vcpu(v);
   const hw::CpuId cpu = (vc.running_on >= 0) ? vc.running_on : vc.pinned_cpu;
   hw::Cpu& c = platform_.cpu(cpu);
-  c_hypercalls_.Inc();
+  ++stats_.hypercalls;
 
   vc.inflight.active = true;
   vc.inflight.is_syscall = false;
@@ -762,7 +739,7 @@ void Hypervisor::ForwardedSyscall(VcpuId v, std::uint64_t sysno) {
   Vcpu& vc = vcpu(v);
   const hw::CpuId cpu = (vc.running_on >= 0) ? vc.running_on : vc.pinned_cpu;
   hw::Cpu& c = platform_.cpu(cpu);
-  c_syscall_forwards_.Inc();
+  ++stats_.syscall_forwards;
 
   vc.inflight.active = true;
   vc.inflight.is_syscall = true;
@@ -793,7 +770,7 @@ std::uint64_t Hypervisor::VmExit(VcpuId v, VmExitReason reason,
   Vcpu& vc = vcpu(v);
   const hw::CpuId cpu = (vc.running_on >= 0) ? vc.running_on : vc.pinned_cpu;
   hw::Cpu& c = platform_.cpu(cpu);
-  c_hypercalls_.Inc();  // counted with hypercalls (hypervisor entries)
+  ++stats_.hypercalls;  // counted with hypercalls (hypervisor entries)
 
   vc.inflight.active = true;
   vc.inflight.is_syscall = false;
@@ -875,14 +852,11 @@ void Hypervisor::ExecuteRetry(hw::CpuId cpu, Vcpu& vc) {
 // ---------------------------------------------------------------------------
 
 void Hypervisor::ReportError(DetectionEvent event) {
-  c_detections_.Inc();
+  ++stats_.detections;
   if (event.when == 0) event.when = Now();
   tracer_.Instant(std::string("detect:") + DetectionKindName(event.kind),
                   event.cpu, event.when);
-  if (!has_first_detection_) {
-    first_detection_ = event;
-    has_first_detection_ = true;
-  }
+  if (stats_.detections == 1) first_detection_ = event;
   NLH_RECORD(forensics::EventKind::kDetection, event.cpu,
              static_cast<std::uint64_t>(event.kind),
              static_cast<std::uint64_t>(event.code), event.detail);
@@ -926,8 +900,6 @@ void Hypervisor::MarkDead(FailureReason reason, const std::string& detail) {
   death_reason_ = detail.empty()
                       ? std::string(FailureReasonName(reason))
                       : std::string(FailureReasonName(reason)) + ": " + detail;
-  metrics_.GetCounter(std::string("hv.dead.") + FailureReasonName(reason))
-      .Inc();
   NLH_RECORD(forensics::EventKind::kDeath, -1,
              static_cast<std::uint64_t>(reason), 0, death_reason_);
 }
@@ -938,8 +910,7 @@ void Hypervisor::OnNmi(hw::CpuId cpu) {
 }
 
 void Hypervisor::FreezeForRecovery(hw::CpuId detector) {
-  ++recovery_attempts_;
-  c_recoveries_.Inc();
+  ++stats_.recoveries;
   tracer_.Instant("hv.freeze_for_recovery", detector, Now());
   frozen_ = true;
   for (int c = 0; c < platform_.num_cpus(); ++c) {

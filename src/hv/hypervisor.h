@@ -14,6 +14,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -36,7 +37,6 @@
 #include "hw/platform.h"
 #include "forensics/flight_recorder.h"
 #include "integrity/mutation_ledger.h"
-#include "sim/metrics.h"
 #include "sim/trace.h"
 
 namespace nlh::hv {
@@ -57,9 +57,8 @@ struct DeviceBinding {
   bool masked = false;
 };
 
-// Read-only snapshot view of the hypervisor's core counters, assembled on
-// demand from the metrics registry (the registry is the single source of
-// truth; this struct survives for callers that want plain fields).
+// The hypervisor's core counters, bumped in place on the paths they name.
+// --metrics-out prints them as the hv.* counters.
 struct HvStats {
   std::uint64_t hypercalls = 0;
   std::uint64_t syscall_forwards = 0;
@@ -194,7 +193,6 @@ class Hypervisor {
   // (which cleared the heaps).
   void RebuildTimerSubsystem();
   bool frozen() const { return frozen_; }
-  int recovery_attempts() const { return recovery_attempts_; }
 
   // Injected corruption of state the recovery routine itself depends on
   // (Section VII-A failure reason 1).
@@ -215,21 +213,16 @@ class Hypervisor {
   DomainTable& domains() { return domains_; }
   Domain* FindDomain(DomainId id) { return domains_.Find(id); }
   TimerHeap& timers(hw::CpuId c) { return *timers_[static_cast<std::size_t>(c)]; }
-  // Snapshot of the core counters (see the metrics registry for the full,
-  // extensible set).
-  HvStats stats() const;
-  // Observability: span tracer + metrics registry + flight recorder for
-  // this host.
+  const HvStats& stats() const { return stats_; }
+  // Observability: span tracer + flight recorder for this host.
   sim::Tracer& tracer() { return tracer_; }
-  sim::MetricsRegistry& metrics() { return metrics_; }
-  const sim::MetricsRegistry& metrics() const { return metrics_; }
   forensics::FlightRecorder& flight_recorder() { return recorder_; }
   const forensics::FlightRecorder& flight_recorder() const { return recorder_; }
   // First DetectionEvent this host ever reported (survives recovery and
   // later detections; the correlator joins it against injection ground
   // truth). nullptr until a detection happens.
   const DetectionEvent* first_detection() const {
-    return has_first_detection_ ? &first_detection_ : nullptr;
+    return stats_.detections > 0 ? &first_detection_ : nullptr;
   }
   std::map<hw::Vector, DeviceBinding>& device_bindings() {
     return device_bindings_;
@@ -335,8 +328,8 @@ class Hypervisor {
   // *rollback inside one run* must not touch (a recovery rolling back
   // `dead_` or the detection history would erase the very failure being
   // recovered from), but a *warm-fork restore* (which rewinds the whole
-  // run to a pre-injection epoch) must. Includes the metrics registry:
-  // RunResult classification reads stats() which is assembled from it.
+  // run to a pre-injection epoch) must. Includes the counters: RunResult
+  // classification reads stats().
   template <typename V>
   void VisitMetaState(V&& v) {
     v(booted_);
@@ -345,12 +338,10 @@ class Hypervisor {
     v(death_code_);
     v(death_reason_);
     v(last_hang_reason_);
-    v(recovery_attempts_);
     v(in_error_report_);
     v(first_detection_);
-    v(has_first_detection_);
     v(next_domid_);
-    metrics_.VisitState(v);
+    v(stats_);
     // Mutation-ledger counters rewind with the whole run (warm fork) but
     // survive an in-run rollback: the epoch monitor rebaselines after every
     // recovery, so monotonicity across a rollback is harmless.
@@ -438,26 +429,16 @@ class Hypervisor {
   std::function<void(hw::CpuId)> nmi_hook_;
   OpObserver op_observer_;
 
-  // Observability. Counter handles are resolved once in the constructor so
-  // hot paths bump them without a registry lookup, and span names used on
-  // hot paths (one per hypercall code, plus the scheduler and the timer
-  // softirq) are pre-interned so opening a span never builds a string.
+  // Observability. Span names used on hot paths (one per hypercall code,
+  // plus the scheduler and the timer softirq) are pre-interned so opening a
+  // span never builds a string.
   // The RecorderScope installs this host's flight recorder as the
   // thread-local current one for the lifetime of the Hypervisor (runs are
   // single-threaded; campaigns use one Hypervisor per worker thread).
   sim::Tracer tracer_;
-  sim::MetricsRegistry metrics_;
   forensics::FlightRecorder recorder_;
   forensics::RecorderScope recorder_scope_{&recorder_};
-  sim::CounterHandle c_hypercalls_;
-  sim::CounterHandle c_syscall_forwards_;
-  sim::CounterHandle c_interrupts_;
-  sim::CounterHandle c_schedules_;
-  sim::CounterHandle c_timer_softirqs_;
-  sim::CounterHandle c_idle_polls_;
-  sim::CounterHandle c_events_sent_;
-  sim::CounterHandle c_detections_;
-  sim::CounterHandle c_recoveries_;
+  HvStats stats_;
   std::array<sim::NameId, kNumHypercalls> span_hypercall_{};
   sim::NameId span_schedule_ = 0;
   sim::NameId span_timer_softirq_ = 0;
@@ -470,10 +451,8 @@ class Hypervisor {
   std::string death_reason_;
   std::string last_hang_reason_;
   bool recovery_path_ok_ = true;
-  int recovery_attempts_ = 0;
   bool in_error_report_ = false;
-  DetectionEvent first_detection_;
-  bool has_first_detection_ = false;
+  DetectionEvent first_detection_;  // valid once stats_.detections > 0
 
   // Cost accumulated by reentrant hypercall execution during a guest slice.
   std::vector<std::uint64_t> slice_instructions_;

@@ -18,9 +18,7 @@ constexpr const char kSpanIntegrityDrift[] = "integrity:drift";
 EpochMonitor::EpochMonitor(hv::Hypervisor& hv)
     : hv_(hv),
       span_epoch_(hv.tracer().InternName(kSpanIntegrityEpoch)),
-      span_drift_(hv.tracer().InternName(kSpanIntegrityDrift)),
-      c_epochs_(hv.metrics().CounterHandleFor("integrity.epochs")),
-      c_drifts_(hv.metrics().CounterHandleFor("integrity.drifts")) {}
+      span_drift_(hv.tracer().InternName(kSpanIntegrityDrift)) {}
 
 void EpochMonitor::Start() {
   if (started_) return;
@@ -50,7 +48,6 @@ void EpochMonitor::Tick() {
     return;
   }
   ++epoch_;
-  c_epochs_.Inc();
   const sim::Time now = hv_.Now();
   const LadderSnapshot snap = ComputeLadder(hv_);
   last_root_ = snap.root;
@@ -76,7 +73,6 @@ void EpochMonitor::Tick() {
     ev.hash_after = snap.surface[s];
     ++drift_count_;
     ++drift_per_surface_[s];
-    c_drifts_.Inc();
     if (first_drift_epoch_ < 0) {
       first_drift_epoch_ = static_cast<std::int64_t>(epoch_);
       first_drift_at_ = now;

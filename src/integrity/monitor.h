@@ -104,8 +104,6 @@ class EpochMonitor {
   DriftHandler on_drift_;
   sim::NameId span_epoch_ = 0;
   sim::NameId span_drift_ = 0;
-  sim::CounterHandle c_epochs_;
-  sim::CounterHandle c_drifts_;
 
   bool started_ = false;
   std::uint64_t epoch_ = 0;

@@ -55,7 +55,7 @@ class RecoveryManager {
       if (on_failed_) on_failed_(ev, hv::FailureReason::kNoMechanism, 0);
       return;
     }
-    if (hv_.recovery_attempts() >= kMaxRecoveryAttempts) {
+    if (hv_.stats().recoveries >= kMaxRecoveryAttempts) {
       hv_.MarkDead(hv::FailureReason::kAttemptLimitReached, ev.detail);
       if (on_failed_) on_failed_(ev, hv::FailureReason::kAttemptLimitReached, 0);
       return;

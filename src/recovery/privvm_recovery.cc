@@ -173,7 +173,7 @@ RecoveryReport PrivVmRecovery::Recover(const hv::DetectionEvent& event) {
 
   report.resumed_at = rec.cursor();
   stats_ = stats;
-  ++recoveries_;
+  reports_.push_back(report);
 
   // Wake the repaired backend and every frontend that may now have a
   // synthesized response (or a re-queued request to re-kick) waiting.

@@ -71,15 +71,17 @@ class PrivVmRecovery {
   // timeline starts at event.when — for correlated failures the caller
   // passes the hypervisor mechanism's resume point so the component phases
   // extend the recovery window instead of overlapping it.
+  // Returns the report, which it also keeps.
   RecoveryReport Recover(const hv::DetectionEvent& event);
 
-  int recoveries() const { return recoveries_; }
+  const std::vector<RecoveryReport>& reports() const { return reports_; }
+  int recoveries() const { return static_cast<int>(reports_.size()); }
   const PrivVmRepairStats& last_stats() const { return stats_; }
 
   // Snapshot/restore (sim/state_image.h) for warm-fork campaign images.
   template <typename V>
   void VisitState(V&& v) {
-    v(recoveries_);
+    v(reports_);
     stats_.VisitState(v);
   }
 
@@ -94,7 +96,7 @@ class PrivVmRecovery {
   hv::Hypervisor& hv_;
   guest::PrivVmKernel& privvm_;
   std::vector<guest::AppVmKernel*> frontends_;
-  int recoveries_ = 0;
+  std::vector<RecoveryReport> reports_;
   PrivVmRepairStats stats_;
 };
 

@@ -68,9 +68,6 @@ RecoveryReport RecoveryMechanism::Recover(const hv::DetectionEvent& event) {
   // Resume at detection + total latency.
   report.resumed_at = report.detected_at + report.total();
   tracer.End(root, report.resumed_at);
-  hv_.metrics()
-      .GetHistogram("recovery.total_ms")
-      .Observe(sim::ToMillisF(report.total()));
   hv_.ResumeAfterRecovery(report.resumed_at, reprogram_apics);
   hv_.platform().queue().ScheduleAt(report.resumed_at, [this, running] {
     steps::NotifyGuestsAfterResume(hv_, running);

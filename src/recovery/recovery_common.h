@@ -163,7 +163,7 @@ void NotifyGuestsAfterResume(hv::Hypervisor& hv,
 
 // Shared step recorder: appends the step to the report, mirrors it as a
 // trace span ([cursor, cursor+latency], child of the innermost open span)
-// and a per-phase latency histogram sample, and advances the cursor.
+// and a flight-recorder event, and advances the cursor.
 class StepRecorder {
  public:
   StepRecorder(hv::Hypervisor& hv, RecoveryReport& report, hw::CpuId cpu)
@@ -173,9 +173,6 @@ class StepRecorder {
     const char* slug = RecoveryPhaseName(phase);
     hv_.tracer().Span(std::string("phase:") + slug, cpu_, cursor_,
                       cursor_ + latency);
-    hv_.metrics()
-        .GetHistogram(std::string("recovery.phase_ms.") + slug)
-        .Observe(sim::ToMillisF(latency));
     NLH_RECORD(forensics::EventKind::kRecoveryPhase, cpu_,
                static_cast<std::uint64_t>(phase),
                static_cast<std::uint64_t>(latency), std::string(slug));

@@ -20,22 +20,20 @@ void SnapRes::Capture() {
 
   // The capture cost is runtime overhead, not recovery latency: charge it
   // to CPU 0's cycle accounting (the same counters the Figure-3 hypervisor
-  // CPU-overhead measurement sums) and mirror it into the per-phase
-  // histogram so campaigns can aggregate it next to the recovery phases.
-  // Counters are bumped directly, not via the instruction-step hook, so the
-  // injector's instruction-counting trigger is unperturbed.
-  const sim::Duration cost = latency::PerFrame(
-      latency::kSrCaptureNsPerFrame, hv_.platform().memory().num_frames());
-  const std::uint64_t cycles = hv_.platform().CyclesForDuration(cost);
+  // CPU-overhead measurement sums). Counters are bumped directly, not via
+  // the instruction-step hook, so the injector's instruction-counting
+  // trigger is unperturbed.
+  const std::uint64_t cycles =
+      hv_.platform().CyclesForDuration(capture_cost());
   hw::Cpu& cpu0 = hv_.platform().cpu(0);
   cpu0.RetireHvInstructions(cycles);
   cpu0.AccumulateHvCycles(cycles);
   cpu0.AccumulateTotalCycles(cycles);
-  hv_.metrics()
-      .GetHistogram(std::string("recovery.phase_ms.") +
-                    RecoveryPhaseName(RecoveryPhase::kSnapshotCapture))
-      .Observe(sim::ToMillisF(cost));
-  hv_.metrics().GetCounter("snapres.captures").Inc();
+}
+
+sim::Duration SnapRes::capture_cost() const {
+  return latency::PerFrame(latency::kSrCaptureNsPerFrame,
+                           hv_.platform().memory().num_frames());
 }
 
 void SnapRes::ScheduleNextCapture() {

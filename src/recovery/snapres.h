@@ -43,6 +43,9 @@ class SnapRes : public RecoveryMechanism {
   void CaptureNow() { Capture(); }
 
   std::uint64_t captures() const { return captures_; }
+  // Modeled cost of one capture (the snapshot_capture phase), charged to
+  // CPU 0 as runtime overhead at every capture.
+  sim::Duration capture_cost() const;
   sim::Time captured_at() const { return captured_at_; }
   sim::Duration period() const { return period_; }
 

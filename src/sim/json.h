@@ -1,5 +1,5 @@
-// Minimal JSON helpers shared by the trace exporter, the metrics registry,
-// and the campaign/bench/forensics JSON artifacts: emission (JsonEscape /
+// Minimal JSON helpers shared by the trace exporter and the
+// campaign/bench/forensics JSON artifacts: emission (JsonEscape /
 // JsonStr / JsonNum) plus a small strict recursive-descent parser
 // (JsonValue / ParseJson) used to round-trip every emitted artifact in
 // tests and to read dossiers back.

@@ -61,10 +61,15 @@ TEST_F(AuditTest, HealthyPlatformClean) {
   EXPECT_GT(r.modeled_cost, 0);
 }
 
-TEST_F(AuditTest, SweepBumpsMetricsAndTrace) {
+TEST_F(AuditTest, EverySweepEmitsOneTraceSpan) {
+  hv_.tracer().Enable();
   Sweep();
   Sweep();
-  EXPECT_EQ(hv_.metrics().GetCounter("audit.sweeps").value(), 2u);
+  int sweeps = 0;
+  for (const sim::TraceEvent& ev : hv_.tracer().Snapshot()) {
+    sweeps += ev.name == "audit:sweep" ? 1 : 0;
+  }
+  EXPECT_EQ(sweeps, 2);
 }
 
 // --- Frame table ------------------------------------------------------------

@@ -1,7 +1,9 @@
 // CLI contract of campaign_tool: bad invocations must fail fast, with a
-// nonzero exit code and a usage message — a misspelled flag or a missing
-// corpus path in CI must never silently fall through to a default
-// campaign. NLH_CAMPAIGN_TOOL is the built binary's path (from CMake).
+// nonzero exit code and a usage message — a misspelled flag, a flag the
+// chosen mode does not read, or a missing corpus path in CI must never
+// silently fall through to a default campaign. The bytes --metrics-out
+// writes are pinned too. NLH_CAMPAIGN_TOOL is the built binary's path
+// (from CMake).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -327,6 +329,61 @@ TEST(CampaignToolCli, CampaignRejectsFleetOnlyFlags) {
   EXPECT_TRUE(ReadFile(out).empty());
 }
 
+TEST(CampaignToolCli, CorpusCheckRejectsCampaignFlags) {
+  // The corpus check used to print "corpus check passed" and never write
+  // the --integrity-out file.
+  const std::string out = ::testing::TempDir() + "corpus_integrity.json";
+  const CliResult r = RunTool(std::string("--corpus=") + NLH_CORPUS_DIR +
+                              " --mechanism=rehype --runs=7 --audit"
+                              " --integrity-out=" + out);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--mechanism has no effect with --corpus"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("corpus check"), std::string::npos) << r.output;
+  EXPECT_TRUE(ReadFile(out).empty());
+}
+
+TEST(CampaignToolCli, RunReplayRejectsCampaignOutputs) {
+  // A replay writes its dossier and profile only; these used to be
+  // accepted and never written.
+  const std::string trace = ::testing::TempDir() + "replay_trace.json";
+  const std::string metrics = ::testing::TempDir() + "replay_metrics.json";
+  const CliResult r = RunTool("--replay=1000 --mechanism=none --trace-out=" +
+                              trace + " --metrics-out=" + metrics);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--trace-out has no effect with --replay=RUN_ID"),
+            std::string::npos)
+      << r.output;
+  EXPECT_TRUE(ReadFile(trace).empty());
+  EXPECT_TRUE(ReadFile(metrics).empty());
+}
+
+TEST(CampaignToolCli, BenchWithoutOneAppVmSetupIsRejected) {
+  // --bench picks the 1AppVM workload; without --setup=1appvm it used to
+  // run the 3AppVM campaign.
+  const CliResult r = RunTool("--bench=blk --runs=1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--bench has no effect without --setup=1appvm"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("3AppVM"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, RunReplayRejectsCampaignAndFuzzFlags) {
+  // Each used to be ignored by a replay.
+  for (const std::string flag : {"--runs=50", "--fuzz-seed=9",
+                                 "--shrink-evals=3"}) {
+    const CliResult r = RunTool("--replay=1000 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.output.find(name + " has no effect with --replay=RUN_ID"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  }
+}
+
 TEST(CampaignToolCli, ReplayRejectsScenarioNumbersThatDoNotFitTheirField) {
   // A committed reproducer hand-edited to a value its field cannot hold
   // must not replay (it used to, with exit 0).
@@ -396,6 +453,77 @@ TEST(CampaignToolCli, ReplayPrintsNarrativeAndWritesTheCampaignsDossier) {
   // The narrative's detection line: time, slug, cpu.
   EXPECT_NE(replay.output.find(" ms] detection "), std::string::npos)
       << replay.output;
+}
+
+// `"name":{...}` of a histogram whose samples all equal `v`.
+std::string Hist(const std::string& name, int count, const std::string& sum,
+                 const std::string& v) {
+  return "\"" + name + "\":{\"count\":" + std::to_string(count) +
+         ",\"sum\":" + sum + ",\"min\":" + v + ",\"max\":" + v +
+         ",\"mean\":" + v + ",\"p50\":" + v + ",\"p99\":" + v + "}";
+}
+
+// The replay_seed0_metrics object of a --metrics-out file.
+std::string ReplayMetrics(const std::string& args) {
+  const std::string path = ::testing::TempDir() + "metrics_cli.json";
+  const CliResult r = RunTool(args + " --threads=1 --metrics-out=" + path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string content = ReadFile(path);
+  std::remove(path.c_str());
+  const std::string key = "\"replay_seed0_metrics\":";
+  const std::size_t at = content.find(key);
+  if (at == std::string::npos || content.back() != '}') return content;
+  return content.substr(at + key.size(),
+                        content.size() - 1 - at - key.size());
+}
+
+TEST(CampaignToolCli, MetricsOutPinsEveryMetricFamily) {
+  // One SnapRes recovery with PrivVM plants, audit and the integrity
+  // monitor: the hv, audit, integrity, snapres and recovery families, the
+  // PrivVM phases and the snapshot capture included.
+  EXPECT_EQ(
+      ReplayMetrics("--mechanism=snapres --setup=1appvm --bench=blk --runs=2"
+                    " --audit --integrity --privvm-plants"),
+      "{\"counters\":{\"audit.sweeps\":1,\"hv.detections\":1,"
+      "\"hv.events_sent\":36000,\"hv.hypercalls\":104034,"
+      "\"hv.idle_polls\":13135,\"hv.interrupts\":17166,"
+      "\"hv.recoveries\":1,\"hv.schedules\":85142,"
+      "\"hv.syscall_forwards\":16000,\"hv.timer_softirqs\":1166,"
+      "\"integrity.drifts\":0,\"integrity.epochs\":397,"
+      "\"snapres.captures\":41},\"gauges\":{},\"histograms\":{" +
+          Hist("audit.findings_per_sweep", 1, "0.000", "0.000") + "," +
+          Hist("audit.sweep_ms", 1, "0.109", "0.109") + "," +
+          Hist("recovery.phase_ms.ack_interrupts", 1, "0.020", "0.020") + "," +
+          Hist("recovery.phase_ms.discard_threads", 1, "0.040", "0.040") + "," +
+          Hist("recovery.phase_ms.frame_table_scan", 1, "21.001", "21.001") +
+          "," + Hist("recovery.phase_ms.freeze", 1, "0.120", "0.120") + "," +
+          Hist("recovery.phase_ms.privvm_backend_rebuild", 1, "0.220",
+               "0.220") +
+          "," +
+          Hist("recovery.phase_ms.privvm_kernel_reset", 1, "0.140", "0.140") +
+          "," +
+          Hist("recovery.phase_ms.privvm_ring_repair", 1, "0.080", "0.080") +
+          "," +
+          Hist("recovery.phase_ms.reactivate_timers", 1, "0.060", "0.060") +
+          "," +
+          Hist("recovery.phase_ms.replay_in_flight", 1, "0.150", "0.150") +
+          "," + Hist("recovery.phase_ms.reprogram_apic", 1, "0.050", "0.050") +
+          "," + Hist("recovery.phase_ms.resume", 1, "0.090", "0.090") + "," +
+          Hist("recovery.phase_ms.rollback", 1, "2.517", "2.517") + "," +
+          Hist("recovery.phase_ms.sched_metadata_repair", 1, "0.180",
+               "0.180") +
+          "," +
+          Hist("recovery.phase_ms.snapshot_capture", 41, "51.590", "1.258") +
+          "," + Hist("recovery.total_ms", 1, "24.227", "24.227") + "}}");
+  // Without a mechanism the run dies: the death counter names the reason.
+  EXPECT_EQ(
+      ReplayMetrics("--mechanism=none --setup=1appvm --bench=blk --runs=1"),
+      "{\"counters\":{\"hv.dead.no_mechanism\":1,\"hv.detections\":1,"
+      "\"hv.events_sent\":25884,\"hv.hypercalls\":74799,"
+      "\"hv.idle_polls\":8874,\"hv.interrupts\":11774,"
+      "\"hv.recoveries\":0,\"hv.schedules\":60645,"
+      "\"hv.syscall_forwards\":11504,\"hv.timer_softirqs\":270},"
+      "\"gauges\":{},\"histograms\":{}}");
 }
 
 TEST(CampaignToolCli, CorpusCheckPassesOnTheCommittedCorpus) {

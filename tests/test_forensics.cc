@@ -317,13 +317,17 @@ TEST(JsonParser, RoundTripsEmittedArtifacts) {
   ASSERT_TRUE(sim::ParseJson(tracer.ToChromeJson(), &v));
   EXPECT_EQ(v.Find("traceEvents")->items.size(), 2u);
 
-  // Metrics registry JSON.
-  sim::MetricsRegistry reg;
-  reg.GetCounter("a.count").Inc(3);
-  reg.GetHistogram("a.ms").Observe(1.5);
-  ASSERT_TRUE(sim::ParseJson(reg.ToJson(), &v));
-  EXPECT_EQ(v.Find("counters")->Find("a.count")->number, 3.0);
-  EXPECT_EQ(v.Find("histograms")->Find("a.ms")->Find("count")->number, 1.0);
+  // --metrics-out JSON of one recovered run.
+  core::TargetSystem sys(
+      core::RunConfig::OneAppVm(guest::BenchmarkKind::kBlkBench));
+  const core::RunResult r = sys.Run();
+  ASSERT_EQ(r.recoveries, 1);
+  ASSERT_TRUE(sim::ParseJson(forensics::MetricsJson(sys, r), &v));
+  EXPECT_EQ(v.Find("counters")->Find("hv.hypercalls")->number,
+            static_cast<double>(sys.hv().stats().hypercalls));
+  EXPECT_EQ(
+      v.Find("histograms")->Find("recovery.total_ms")->Find("count")->number,
+      1.0);
 }
 
 // --- Histogram quantiles ----------------------------------------------------

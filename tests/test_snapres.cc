@@ -189,6 +189,12 @@ TEST_F(SnapResTest, PeriodicCaptureChainFollowsConfiguredCadence) {
 
 // --- End-to-end through TargetSystem ----------------------------------------
 
+std::uint64_t Captures(core::TargetSystem& sys) {
+  return dynamic_cast<const recovery::SnapRes&>(
+             *sys.recovery_manager()->mechanism())
+      .captures();
+}
+
 TEST(SnapResEndToEnd, FailstopRunRecoversSuccessfully) {
   core::RunConfig cfg;
   cfg.mechanism = core::Mechanism::kSnapRes;
@@ -208,7 +214,7 @@ TEST(SnapResEndToEnd, FailstopRunRecoversSuccessfully) {
   EXPECT_TRUE(has_replay);
   // The periodic capture chain ran (and its overhead was charged as
   // hypervisor cycles — it is runtime cost, not recovery cost).
-  EXPECT_GT(sys.hv().metrics().GetCounter("snapres.captures").value(), 3u);
+  EXPECT_GT(Captures(sys), 3u);
 }
 
 TEST(SnapResEndToEnd, SnapshotPeriodConfigControlsCadence) {
@@ -222,11 +228,7 @@ TEST(SnapResEndToEnd, SnapshotPeriodConfigControlsCadence) {
   core::TargetSystem a(coarse), b(fine);
   a.RunUntil(sim::Milliseconds(900));
   b.RunUntil(sim::Milliseconds(900));
-  const std::uint64_t coarse_caps =
-      a.hv().metrics().GetCounter("snapres.captures").value();
-  const std::uint64_t fine_caps =
-      b.hv().metrics().GetCounter("snapres.captures").value();
-  EXPECT_GT(fine_caps, 3 * coarse_caps);
+  EXPECT_GT(Captures(b), 3 * Captures(a));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the telemetry layer: sim/trace.h span nesting and simulated
-// time, sim/metrics.h registry, the recovery-path phase instrumentation,
-// and the typed FailureReason plumbing through campaign aggregation.
+// time, the sim/metrics.h histogram, the recovery-path phase
+// instrumentation, and the typed FailureReason plumbing through campaign
+// aggregation.
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"
@@ -63,22 +64,13 @@ TEST(Tracer, RingOverwritesOldestAndCountsDrops) {
 
 // --- sim/metrics.h ---------------------------------------------------------
 
-TEST(Metrics, RegistryCountersAndHistograms) {
-  sim::MetricsRegistry reg;
-  sim::Counter& c = reg.GetCounter("x.count");
-  c.Inc();
-  c.Inc(4);
-  EXPECT_EQ(reg.GetCounter("x.count").value(), 5u);  // same instance by name
-  sim::Histogram& h = reg.GetHistogram("x.ms");
+TEST(Metrics, HistogramMeanAndInterpolatedQuantile) {
+  sim::Histogram h;
   for (int i = 1; i <= 100; ++i) h.Observe(i);
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
   // Interpolated: rank 0.99*(100-1) = 98.01 between samples 99 and 100.
   EXPECT_DOUBLE_EQ(h.Quantile(0.99), 99.01);
-  EXPECT_EQ(reg.FindCounter("nope"), nullptr);
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"x.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"x.ms\""), std::string::npos);
 }
 
 // --- recovery-path instrumentation ----------------------------------------
@@ -140,16 +132,15 @@ TEST_F(TraceRecoveryTest, NiLiHypeEmitsFullPhaseSequence) {
   EXPECT_EQ(sum, rep.total());
   EXPECT_EQ(cursor, rep.resumed_at);
 
-  // The phase histograms and the total got one sample each.
-  const sim::Histogram* total =
-      hv_.metrics().FindHistogram("recovery.total_ms");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count(), 1u);
-  EXPECT_DOUBLE_EQ(total->sum(), sim::ToMillisF(rep.total()));
-  const sim::Histogram* scan =
-      hv_.metrics().FindHistogram("recovery.phase_ms.frame_table_scan");
-  ASSERT_NE(scan, nullptr);
-  EXPECT_EQ(scan->count(), 1u);
+  // The report holds the same steps, once each: --metrics-out's per-phase
+  // histograms read them from there.
+  ASSERT_EQ(rep.steps.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const recovery::StepLatency& step = rep.steps[i];
+    EXPECT_EQ(std::string("phase:") + recovery::RecoveryPhaseName(step.phase),
+              want[i]);
+    EXPECT_EQ(step.latency, phases[i]->end - phases[i]->start);
+  }
 }
 
 TEST_F(TraceRecoveryTest, DisabledTracingAddsZeroSpans) {

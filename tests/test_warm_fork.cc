@@ -14,6 +14,7 @@
 #include "core/config.h"
 #include "core/outcome.h"
 #include "core/target_system.h"
+#include "forensics/dossier.h"
 
 namespace nlh::core {
 namespace {
@@ -150,11 +151,15 @@ void ExpectRearmMatchesCold(std::vector<RunConfig> configs) {
   warm.CaptureForkImage(&img);
   for (const RunConfig& cfg : configs) {
     TargetSystem cold(cfg);
-    const std::string want = Canon(cold.Run());
+    const RunResult cold_result = cold.Run();
     warm.RestoreForkImage(img);
     warm.RearmForSeed(cfg);
-    EXPECT_EQ(Canon(warm.Run()), want) << "seed=" << cfg.seed;
+    const RunResult warm_result = warm.Run();
+    EXPECT_EQ(Canon(warm_result), Canon(cold_result)) << "seed=" << cfg.seed;
     EXPECT_EQ(GuestFailures(warm), GuestFailures(cold)) << "seed=" << cfg.seed;
+    EXPECT_EQ(forensics::MetricsJson(warm, warm_result),
+              forensics::MetricsJson(cold, cold_result))
+        << "seed=" << cfg.seed;
   }
 }
 
