@@ -125,7 +125,8 @@ bool RunOnce(std::uint64_t seed, bool use_microreset, sim::Duration* latency) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+  const bench::BenchArgs args =
+      bench::BenchArgs::Parse(argc, argv, /*reads_threads=*/false);
   bench::PrintHeader(
       "Microreset beyond hypervisors: an in-memory KV service",
       "Section IX (future work)");

@@ -60,7 +60,7 @@ void Row(const char* name, const core::RunConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::BenchArgs::Parse(argc, argv);
+  sim::ParseFlags(argc, argv, {});  // the one configuration of the paper
   bench::PrintHeader(
       "Hypervisor processing overhead in normal operation", "Figure 3");
   std::printf("%-10s %10s %12s %10s %13s %14s\n", "Workload", "NiLiHype",

@@ -7,31 +7,29 @@
 // column isolates what the recovery mechanism itself costs the fleet.
 //
 // Emits BENCH_fleet.json (--out) and optionally gates against a committed
-// baseline (--baseline):
+// baseline (--baseline), which must carry every field this bench writes:
 //   - host_runs_per_sec (phase-A injection-run throughput) is normalized
 //     by `calib_mops` and gated at --gate-pct (default 15%) like
 //     bench_sim_core;
-//   - the model outputs (violation minutes, outage means, fault tallies)
-//     are pure functions of the config, so when the baseline was produced
-//     by the same fleet shape and seed they must match EXACTLY — any drift
-//     is a silent behavior change, not machine noise, and fails the gate.
+//   - the model outputs (every other row field: fault and recovery
+//     tallies, outage means, violation minutes) are pure functions of the
+//     config, so when the baseline was produced by the same fleet shape
+//     and seed they must match EXACTLY — any drift is a silent behavior
+//     change, not machine noise, and fails the gate.
 //
-// Flags: --out=FILE --baseline=FILE --gate-pct=P --hosts=N --tenants=N
-//        --horizon=S --threads=N --seed=N --quick
+// Flags: see --help.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/config.h"
 #include "fleet/fleet.h"
-#include "sim/int_flag.h"
 #include "sim/json.h"
 
 namespace {
@@ -41,6 +39,13 @@ using Clock = std::chrono::steady_clock;
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// The rows, in print order; SloRatio reads the first and the last.
+constexpr nlh::core::Mechanism kMechs[] = {
+    nlh::core::Mechanism::kNiLiHype,
+    nlh::core::Mechanism::kSnapRes,
+    nlh::core::Mechanism::kReHype,
+};
 
 struct MechRow {
   std::string slug;
@@ -67,11 +72,64 @@ std::string RowJson(const MechRow& r) {
   return out;
 }
 
+// The headline ratio: what microreboot costs the fleet relative to
+// microreset, at identical fault schedules.
+double SloRatio(const std::vector<MechRow>& rows) {
+  const double nili_min = rows[0].result.slo_violation_minutes;
+  const double rehype_min = rows[2].result.slo_violation_minutes;
+  return nili_min > 0 ? rehype_min / nili_min : 0;
+}
+
+// The bench's JSON: the fleet shape, calib_mops and one row per mechanism.
+std::string FleetJson(const std::vector<MechRow>& rows, double calib,
+                      int hosts, int tenants, int horizon, std::uint64_t seed,
+                      bool quick) {
+  std::string json = "{";
+  json += "\"bench\":\"fleet_slo\",\"schema\":1";
+  json += ",\"config\":{\"hosts\":" + std::to_string(hosts) +
+          ",\"tenants_per_host\":" + std::to_string(tenants) +
+          ",\"horizon_s\":" + std::to_string(horizon) +
+          ",\"seed\":" + std::to_string(seed) +
+          ",\"quick\":" + (quick ? std::string("true") : std::string("false")) +
+          "}";
+  json += ",\"calib_mops\":" + nlh::sim::JsonNum(calib, 3);
+  json += ",\"mechanisms\":{";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) json += ",";
+    json += nlh::sim::JsonStr(rows[i].slug) + ":" + RowJson(rows[i]);
+  }
+  json += "}";
+  json += ",\"rehype_vs_nilihype_slo_ratio\":" +
+          nlh::sim::JsonNum(SloRatio(rows), 3);
+  json += "}";
+  return json;
+}
+
+// --baseline: every field FleetJson writes, and a positive calib_mops and
+// host_runs_per_sec, which the gate divides by.
+std::string LoadBaseline(std::string_view path, nlh::sim::JsonValue* out) {
+  std::vector<MechRow> rows;
+  for (const nlh::core::Mechanism mech : kMechs) {
+    rows.push_back({nlh::core::MechanismSlug(mech), {}, 0});
+  }
+  const std::string error = nlh::bench::LoadBaseline(
+      path, FleetJson(rows, 0, 0, 0, 0, 0, false), out);
+  if (!error.empty()) return error;
+  bool positive = out->Find("calib_mops")->number > 0;
+  for (const MechRow& row : rows) {
+    const nlh::sim::JsonValue* b = out->Find("mechanisms")->Find(row.slug);
+    positive = positive && b->Find("host_runs_per_sec")->number > 0;
+  }
+  return positive ? "" : std::string(path) +
+                             ": calib_mops and host_runs_per_sec must be "
+                             "positive";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
-  std::string baseline_path;
+  std::optional<nlh::sim::JsonValue> baseline;
   double gate_pct = 15.0;
   int hosts = 0;
   int tenants = 0;
@@ -79,38 +137,34 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::uint64_t seed = 1000;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool ok = true;
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      baseline_path = arg + 11;
-    } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      ok = nlh::bench::ParseGatePct(arg + 11, &gate_pct);
-    } else if (std::strncmp(arg, "--hosts=", 8) == 0) {
-      ok = nlh::sim::ParseIntFlag("--hosts", arg + 8, &hosts, 1);
-    } else if (std::strncmp(arg, "--tenants=", 10) == 0) {
-      ok = nlh::sim::ParseIntFlag("--tenants", arg + 10, &tenants, 1);
-    } else if (std::strncmp(arg, "--horizon=", 10) == 0) {
-      ok = nlh::sim::ParseIntFlag("--horizon", arg + 10, &horizon, 1);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      ok = nlh::sim::ParseIntFlag("--threads", arg + 10, &threads, 0);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--help") != 0) {
-      std::printf("unknown flag %s\n", arg);
-      ok = false;
-    }
-    if (!ok || std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --out=FILE --baseline=FILE --gate-pct=P --hosts=N "
-          "--tenants=N --horizon=S --threads=N --seed=N --quick\n");
-      return ok ? 0 : 2;
-    }
-  }
+  using enum nlh::sim::FlagValue;
+  const nlh::sim::Flag flags[] = {
+      {"--out", kRequired, "FILE", "write the JSON here (default: stdout)",
+       nlh::sim::SetString(&out_path)},
+      {"--baseline", kRequired, "FILE", "gate against this BENCH_fleet.json",
+       [&](std::string_view v) {
+         return LoadBaseline(v, &baseline.emplace());
+       }},
+      {"--gate-pct", kRequired, "P",
+       "fail a mechanism whose runs/sec is more than P% below the baseline "
+       "(default 15)",
+       nlh::bench::SetGatePct(&gate_pct), ~0u, {}, "without --baseline",
+       [&] { return baseline.has_value(); }},
+      {"--hosts", kRequired, "N", "hosts (default 100, --quick 12)",
+       nlh::sim::SetInt(&hosts, 1)},
+      {"--tenants", kRequired, "N", "tenants per host (default 10, --quick 4)",
+       nlh::sim::SetInt(&tenants, 1)},
+      {"--horizon", kRequired, "S",
+       "simulated seconds (default 3600, --quick 600)",
+       nlh::sim::SetInt(&horizon, 1)},
+      {"--threads", kRequired, "N", "worker threads (default 0: all cores)",
+       nlh::sim::SetInt(&threads, 0)},
+      {"--seed", kRequired, "N", "the fleet's master seed (default 1000)",
+       nlh::sim::SetInt(&seed, 0)},
+      {"--quick", kNone, "", "a small fleet, for the smoke test",
+       nlh::sim::SetTrue(&quick)},
+  };
+  nlh::sim::ParseFlags(argc, argv, flags);
   // Full mode is the acceptance-scale fleet: 100 hosts x 10 tenants over
   // one simulated hour. Quick mode (the `perf` ctest smoke) shrinks the
   // fleet but keeps every stage of the pipeline hot.
@@ -128,15 +182,10 @@ int main(int argc, char** argv) {
               hosts, tenants, horizon,
               static_cast<unsigned long long>(seed));
 
-  const nlh::core::Mechanism mechs[] = {
-      nlh::core::Mechanism::kNiLiHype,
-      nlh::core::Mechanism::kSnapRes,
-      nlh::core::Mechanism::kReHype,
-  };
   std::vector<MechRow> rows;
   std::printf("%-10s %8s %10s %10s %12s %14s\n", "mechanism", "faults",
               "outage ms", "runs/sec", "bad ticks", "SLO viol-min");
-  for (const nlh::core::Mechanism mech : mechs) {
+  for (const nlh::core::Mechanism mech : kMechs) {
     nlh::fleet::FleetConfig cfg;
     cfg.hosts = hosts;
     cfg.tenants_per_host = tenants;
@@ -157,32 +206,10 @@ int main(int argc, char** argv) {
                 row.result.slo_violation_minutes);
     rows.push_back(row);
   }
+  std::printf("\nrehype/nilihype SLO cost ratio: x%.1f\n", SloRatio(rows));
 
-  // The headline ratio: what microreboot costs the fleet relative to
-  // microreset, at identical fault schedules.
-  const double nili_min = rows[0].result.slo_violation_minutes;
-  const double rehype_min = rows[2].result.slo_violation_minutes;
-  const double ratio = nili_min > 0 ? rehype_min / nili_min : 0;
-  std::printf("\nrehype/nilihype SLO cost ratio: x%.1f\n", ratio);
-
-  std::string json = "{";
-  json += "\"bench\":\"fleet_slo\",\"schema\":1";
-  json += ",\"config\":{\"hosts\":" + std::to_string(hosts) +
-          ",\"tenants_per_host\":" + std::to_string(tenants) +
-          ",\"horizon_s\":" + std::to_string(horizon) +
-          ",\"seed\":" + std::to_string(seed) +
-          ",\"quick\":" + (quick ? std::string("true") : std::string("false")) +
-          "}";
-  json += ",\"calib_mops\":" + nlh::sim::JsonNum(calib, 3);
-  json += ",\"mechanisms\":{";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i) json += ",";
-    json += nlh::sim::JsonStr(rows[i].slug) + ":" + RowJson(rows[i]);
-  }
-  json += "}";
-  json += ",\"rehype_vs_nilihype_slo_ratio\":" + nlh::sim::JsonNum(ratio, 3);
-  json += "}";
-
+  const std::string json =
+      FleetJson(rows, calib, hosts, tenants, horizon, seed, quick);
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     out << json << "\n";
@@ -191,76 +218,40 @@ int main(int argc, char** argv) {
     std::printf("%s\n", json.c_str());
   }
 
-  if (baseline_path.empty()) return 0;
-
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot load baseline %s\n", baseline_path.c_str());
-    return 2;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  nlh::sim::JsonValue base;
-  if (!nlh::sim::ParseJson(ss.str(), &base) || !base.IsObject()) {
-    std::fprintf(stderr, "cannot parse baseline %s\n", baseline_path.c_str());
-    return 2;
-  }
-  const nlh::sim::JsonValue* bcfg = base.Find("config");
-  const nlh::sim::JsonValue* bmechs = base.Find("mechanisms");
-  const nlh::sim::JsonValue* bcalib = base.Find("calib_mops");
-  if (bcfg == nullptr || bmechs == nullptr || bcalib == nullptr) {
-    std::fprintf(stderr, "baseline missing config/mechanisms/calib_mops\n");
-    return 2;
-  }
-  const auto cfg_num = [&](const char* key) -> double {
-    const nlh::sim::JsonValue* f = bcfg->Find(key);
-    return f != nullptr ? f->number : -1;
-  };
-  const bool same_model = cfg_num("hosts") == hosts &&
-                          cfg_num("tenants_per_host") == tenants &&
-                          cfg_num("horizon_s") == horizon &&
-                          cfg_num("seed") == static_cast<double>(seed);
+  if (!baseline) return 0;
+  const nlh::sim::JsonValue& bcfg = *baseline->Find("config");
+  const bool same_model =
+      bcfg.Find("hosts")->number == hosts &&
+      bcfg.Find("tenants_per_host")->number == tenants &&
+      bcfg.Find("horizon_s")->number == horizon &&
+      bcfg.Find("seed")->number == static_cast<double>(seed);
+  const double bcalib = baseline->Find("calib_mops")->number;
 
   int failures = 0;
   std::printf("\nregression gate (±%.0f%% on runs/sec, normalized by "
               "calib_mops; model outputs exact%s):\n",
               gate_pct, same_model ? "" : " — SKIPPED, config differs");
   for (const MechRow& row : rows) {
-    const nlh::sim::JsonValue* b = bmechs->Find(row.slug);
-    if (b == nullptr) {
-      std::printf("  %-10s SKIP (no baseline row)\n", row.slug.c_str());
-      continue;
-    }
-    const nlh::sim::JsonValue* bperf = b->Find("host_runs_per_sec");
-    if (bperf != nullptr && bperf->number > 0 && bcalib->number > 0 &&
-        calib > 0) {
-      const double norm_cur = row.host_runs_per_sec / calib;
-      const double norm_base = bperf->number / bcalib->number;
-      const double r = norm_cur / norm_base;
-      const bool fail = r < 1.0 - gate_pct / 100.0;
-      std::printf("  %-10s runs/sec %8.3f vs %8.3f (normalized x%.3f)%s\n",
-                  row.slug.c_str(), row.host_runs_per_sec, bperf->number, r,
-                  fail ? "  REGRESSION" : "");
-      failures += fail ? 1 : 0;
-    }
+    const nlh::sim::JsonValue& b =
+        *baseline->Find("mechanisms")->Find(row.slug);
+    const double bperf = b.Find("host_runs_per_sec")->number;
+    const double r = (row.host_runs_per_sec / calib) / (bperf / bcalib);
+    const bool fail = r < 1.0 - gate_pct / 100.0;
+    std::printf("  %-10s runs/sec %8.3f vs %8.3f (normalized x%.3f)%s\n",
+                row.slug.c_str(), row.host_runs_per_sec, bperf, r,
+                fail ? "  REGRESSION" : "");
+    failures += fail ? 1 : 0;
     if (!same_model) continue;
-    // Deterministic model outputs: exact match or it's a behavior change.
-    const struct {
-      const char* key;
-      double cur;
-    } model[] = {
-        {"faults", static_cast<double>(row.result.faults_scheduled)},
-        {"mean_outage_ms", row.result.mean_outage_ms},
-        {"bad_tenant_ticks", static_cast<double>(row.result.bad_tenant_ticks)},
-        {"violation_minutes", row.result.slo_violation_minutes},
-    };
-    for (const auto& m : model) {
-      const nlh::sim::JsonValue* bm = b->Find(m.key);
-      if (bm == nullptr) continue;
-      // Baseline numbers round-trip through JsonNum's 3-decimal fixed point.
-      if (std::fabs(bm->number - m.cur) > 5e-4) {
+    // Deterministic model outputs, every field of the row but the timing:
+    // an exact match, or it's a behavior change. Both sides went through
+    // JsonNum's 3-decimal fixed point.
+    nlh::sim::JsonValue cur;
+    nlh::sim::ParseJson(RowJson(row), &cur);
+    for (const auto& [key, v] : cur.fields) {
+      const double want = b.Find(key)->number;
+      if (key != "host_runs_per_sec" && std::fabs(want - v.number) > 5e-4) {
         std::printf("  %-10s %s %.3f vs baseline %.3f  MODEL DRIFT\n",
-                    row.slug.c_str(), m.key, m.cur, bm->number);
+                    row.slug.c_str(), key.c_str(), v.number, want);
         ++failures;
       }
     }

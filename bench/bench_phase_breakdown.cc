@@ -2,15 +2,14 @@
 // structure as JSON): one traced replay per mechanism plus a small campaign
 // per mechanism for mean/p99 per-phase aggregates.
 //
-// Usage: bench_phase_breakdown [--out=FILE.json] [--runs=N] [--seed=N]
+// Flags: see --help.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "core/campaign.h"
 #include "core/target_system.h"
-#include "sim/int_flag.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -69,25 +68,17 @@ int main(int argc, char** argv) {
   std::string out_path;
   int runs = 20;
   std::uint64_t seed0 = 2024;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      if (!sim::ParseIntFlag("--runs", arg.c_str() + std::strlen("--runs="),
-                             &runs, 1)) {
-        return 2;
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!sim::ParseIntFlag("--seed", arg.c_str() + std::strlen("--seed="),
-                             &seed0, 0)) {
-        return 2;
-      }
-    } else {
-      std::printf("unknown flag %s (see header comment)\n", arg.c_str());
-      return 2;
-    }
-  }
+  using enum sim::FlagValue;
+  const sim::Flag flags[] = {
+      {"--out", kRequired, "FILE", "write the JSON here (default: stdout)",
+       sim::SetString(&out_path)},
+      {"--runs", kRequired, "N", "campaign runs per mechanism (default 20)",
+       sim::SetInt(&runs, 1)},
+      {"--seed", kRequired, "N",
+       "seed of the traced run and the first campaign run (default 2024)",
+       sim::SetInt(&seed0, 0)},
+  };
+  sim::ParseFlags(argc, argv, flags);
 
   std::string json = "{\"bench\":\"phase_breakdown\",\"memory_gib\":8,";
   json += "\"mechanisms\":[";

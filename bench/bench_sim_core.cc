@@ -13,21 +13,20 @@
 //                       warm_fork_speedup
 //
 // Emits BENCH_simcore.json (--out) and optionally gates against a committed
-// baseline (--baseline): each metric is first normalized by `calib_mops`, a
-// fixed integer workload measured on the same machine in the same process,
-// so the gate compares *machine-relative* throughput and survives runner
-// speed differences. A metric more than --gate-pct (default 15) slower than
-// the baseline fails the run (exit 1).
+// baseline (--baseline), which must carry every field this bench writes.
+// Each metric is first normalized by `calib_mops`, a fixed integer workload
+// measured on the same machine in the same process, so the gate compares
+// *machine-relative* throughput and survives runner speed differences. A
+// metric more than --gate-pct (default 15) slower than the baseline fails
+// the run (exit 1).
 //
-// Flags: --out=FILE --baseline=FILE --gate-pct=P --runs=N --threads=N
-//        --seed=N --quick
+// Flags: see --help.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "hv/hypervisor.h"
 #include "hw/platform.h"
 #include "sim/event_queue.h"
-#include "sim/int_flag.h"
 #include "sim/json.h"
 
 namespace {
@@ -215,70 +213,51 @@ std::string ToJson(const Metrics& m, int runs, int threads, bool quick) {
   return out;
 }
 
-bool LoadBaseline(const std::string& path, Metrics* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
+// The throughput metrics the gate compares, by their JSON names.
+constexpr struct {
+  const char* name;
+  double Metrics::*value;
+} kGated[] = {
+    {"events_per_sec", &Metrics::events_per_sec},
+    {"hypercalls_per_sec", &Metrics::hypercalls_per_sec},
+    {"campaign_runs_per_sec", &Metrics::campaign_runs_per_sec},
+    {"campaign_integrity_runs_per_sec",
+     &Metrics::campaign_integrity_runs_per_sec},
+    {"campaign_cold_steady_runs_per_sec",
+     &Metrics::campaign_cold_steady_runs_per_sec},
+    {"campaign_warm_steady_runs_per_sec",
+     &Metrics::campaign_warm_steady_runs_per_sec},
+};
+
+// --baseline: every field ToJson writes, and calib_mops and each gated
+// metric positive, since the gate divides by them.
+std::string LoadBaseline(std::string_view path, Metrics* out) {
   nlh::sim::JsonValue v;
-  if (!nlh::sim::ParseJson(ss.str(), &v) || !v.IsObject()) return false;
-  auto num = [&](const char* key, double* dst) {
-    const nlh::sim::JsonValue* f = v.Find(key);
-    if (f == nullptr || f->type != nlh::sim::JsonValue::Type::kNumber) {
-      return false;
-    }
-    *dst = f->number;
-    return true;
-  };
-  const bool core_ok =
-      num("calib_mops", &out->calib_mops) &&
-      num("events_per_sec", &out->events_per_sec) &&
-      num("hypercalls_per_sec", &out->hypercalls_per_sec) &&
-      num("campaign_runs_per_sec", &out->campaign_runs_per_sec);
-  // The warm-fork and integrity metrics gate only when the baseline
-  // already carries them (older baselines predate them).
-  num("campaign_integrity_runs_per_sec", &out->campaign_integrity_runs_per_sec);
-  num("campaign_cold_steady_runs_per_sec",
-      &out->campaign_cold_steady_runs_per_sec);
-  num("campaign_warm_steady_runs_per_sec",
-      &out->campaign_warm_steady_runs_per_sec);
-  return core_ok;
+  const std::string error =
+      nlh::bench::LoadBaseline(path, ToJson(Metrics{}, 0, 0, false), &v);
+  if (!error.empty()) return error;
+  out->calib_mops = v.Find("calib_mops")->number;
+  bool positive = out->calib_mops > 0;
+  for (const auto& g : kGated) {
+    out->*g.value = v.Find(g.name)->number;
+    positive = positive && out->*g.value > 0;
+  }
+  return positive ? "" : std::string(path) +
+                             ": calib_mops and every gated metric must be "
+                             "positive";
 }
 
 // Compares machine-normalized throughput against the baseline. Returns the
 // number of gate failures.
 int Gate(const Metrics& cur, const Metrics& base, double pct) {
-  struct Row {
-    const char* name;
-    double cur, base;
-  };
-  const Row rows[] = {
-      {"events_per_sec", cur.events_per_sec, base.events_per_sec},
-      {"hypercalls_per_sec", cur.hypercalls_per_sec, base.hypercalls_per_sec},
-      {"campaign_runs_per_sec", cur.campaign_runs_per_sec,
-       base.campaign_runs_per_sec},
-      {"campaign_integrity_runs_per_sec", cur.campaign_integrity_runs_per_sec,
-       base.campaign_integrity_runs_per_sec},
-      {"campaign_cold_steady_runs_per_sec",
-       cur.campaign_cold_steady_runs_per_sec,
-       base.campaign_cold_steady_runs_per_sec},
-      {"campaign_warm_steady_runs_per_sec",
-       cur.campaign_warm_steady_runs_per_sec,
-       base.campaign_warm_steady_runs_per_sec},
-  };
   int failures = 0;
   std::printf("\nregression gate (±%.0f%%, normalized by calib_mops):\n", pct);
-  for (const Row& r : rows) {
-    if (r.base <= 0 || base.calib_mops <= 0 || cur.calib_mops <= 0) {
-      std::printf("  %-24s SKIP (no baseline)\n", r.name);
-      continue;
-    }
-    const double norm_cur = r.cur / cur.calib_mops;
-    const double norm_base = r.base / base.calib_mops;
-    const double ratio = norm_cur / norm_base;
+  for (const auto& g : kGated) {
+    const double ratio =
+        (cur.*g.value / cur.calib_mops) / (base.*g.value / base.calib_mops);
     const bool fail = ratio < 1.0 - pct / 100.0;
-    std::printf("  %-24s %10.1f vs %10.1f  (normalized x%.3f)%s\n", r.name,
-                r.cur, r.base, ratio,
+    std::printf("  %-24s %10.1f vs %10.1f  (normalized x%.3f)%s\n", g.name,
+                cur.*g.value, base.*g.value, ratio,
                 fail ? "  REGRESSION"
                      : (ratio > 1.0 + pct / 100.0 ? "  (faster; consider "
                                                     "refreshing baseline)"
@@ -292,40 +271,34 @@ int Gate(const Metrics& cur, const Metrics& base, double pct) {
 
 int main(int argc, char** argv) {
   std::string out_path;
-  std::string baseline_path;
+  std::optional<Metrics> baseline;
   double gate_pct = 15.0;
   int runs = 0;
   int threads = 0;
   std::uint64_t seed = 1000;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool ok = true;
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      baseline_path = arg + 11;
-    } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      ok = nlh::bench::ParseGatePct(arg + 11, &gate_pct);
-    } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-      ok = nlh::sim::ParseIntFlag("--runs", arg + 7, &runs, 1);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      ok = nlh::sim::ParseIntFlag("--threads", arg + 10, &threads, 0);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      ok = nlh::sim::ParseIntFlag("--seed", arg + 7, &seed, 0);
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--help") != 0) {
-      std::printf("unknown flag %s\n", arg);
-      ok = false;
-    }
-    if (!ok || std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --out=FILE --baseline=FILE --gate-pct=P --runs=N "
-          "--threads=N --seed=N --quick\n");
-      return ok ? 0 : 2;
-    }
-  }
+  using enum nlh::sim::FlagValue;
+  const nlh::sim::Flag flags[] = {
+      {"--out", kRequired, "FILE", "write the JSON here (default: stdout)",
+       nlh::sim::SetString(&out_path)},
+      {"--baseline", kRequired, "FILE", "gate against this BENCH_simcore.json",
+       [&](std::string_view v) {
+         return LoadBaseline(v, &baseline.emplace());
+       }},
+      {"--gate-pct", kRequired, "P",
+       "fail a metric more than P% below the baseline (default 15)",
+       nlh::bench::SetGatePct(&gate_pct), ~0u, {}, "without --baseline",
+       [&] { return baseline.has_value(); }},
+      {"--runs", kRequired, "N", "cold campaign runs (default 48, --quick 8)",
+       nlh::sim::SetInt(&runs, 1)},
+      {"--threads", kRequired, "N", "worker threads (default 0: all cores)",
+       nlh::sim::SetInt(&threads, 0)},
+      {"--seed", kRequired, "N", "first campaign seed (default 1000)",
+       nlh::sim::SetInt(&seed, 0)},
+      {"--quick", kNone, "", "fewer events, hypercalls and campaign runs",
+       nlh::sim::SetTrue(&quick)},
+  };
+  nlh::sim::ParseFlags(argc, argv, flags);
   if (runs == 0) runs = quick ? 8 : 48;
 
   nlh::bench::PrintHeader("Simulation-core throughput (bench_sim_core)",
@@ -377,13 +350,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", json.c_str());
   }
 
-  if (!baseline_path.empty()) {
-    Metrics base;
-    if (!LoadBaseline(baseline_path, &base)) {
-      std::fprintf(stderr, "cannot load baseline %s\n", baseline_path.c_str());
-      return 2;
-    }
-    const int failures = Gate(m, base, gate_pct);
+  if (baseline) {
+    const int failures = Gate(m, *baseline, gate_pct);
     if (failures > 0) {
       std::fprintf(stderr, "%d metric(s) regressed beyond %.0f%%\n", failures,
                    gate_pct);

@@ -27,7 +27,7 @@ core::RunConfig NetBench1AppVm(core::Mechanism mech, std::uint64_t mem_gib) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::BenchArgs::Parse(argc, argv);
+  sim::ParseFlags(argc, argv, {});  // the one configuration of the paper
   bench::PrintHeader("ReHype (microreboot) recovery latency breakdown",
                      "Table II");
 

@@ -24,7 +24,7 @@ core::RunConfig NetBench1AppVm(std::uint64_t mem_gib, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::BenchArgs::Parse(argc, argv);
+  sim::ParseFlags(argc, argv, {});  // the one configuration of the paper
   bench::PrintHeader("NiLiHype (microreset) recovery latency breakdown",
                      "Table III");
 

@@ -1,13 +1,9 @@
 // Shared helpers for the experiment-reproduction benches.
 //
 // Every bench binary regenerates one table or figure from the paper and
-// prints the same rows/series. Common flags:
-//   --runs=N     runs per campaign cell (default: reduced counts; the paper
-//                used 1000-5000 per fault type)
-//   --full       use the paper's injection counts (Section VII-A)
-//   --threads=N  worker threads (default: all cores)
-//   --seed=N     base seed
-// An unknown flag or a malformed integer value exits 2.
+// prints the same rows/series. Each declares the flags it reads in one
+// sim::Flag table (BenchArgs for the campaign benches), so an unknown flag,
+// a flag the bench does not read or a malformed value exits 2.
 #pragma once
 
 #include <charconv>
@@ -15,13 +11,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/campaign.h"
-#include "sim/int_flag.h"
+#include "sim/flags.h"
+#include "sim/json.h"
 
 namespace nlh::bench {
 
@@ -31,28 +29,26 @@ struct BenchArgs {
   int threads = 0;
   std::uint64_t seed = 1000;
 
-  static BenchArgs Parse(int argc, char** argv) {
+  // The campaign benches' flags. A bench that runs single-threaded passes
+  // reads_threads = false, and --threads is unknown to it.
+  static BenchArgs Parse(int argc, char** argv, bool reads_threads = true) {
     BenchArgs a;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      bool ok = true;
-      if (std::strncmp(arg, "--runs=", 7) == 0) {
-        ok = sim::ParseIntFlag("--runs", arg + 7, &a.runs, 1);
-      } else if (std::strcmp(arg, "--full") == 0) {
-        a.full = true;
-      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        ok = sim::ParseIntFlag("--threads", arg + 10, &a.threads, 0);
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        ok = sim::ParseIntFlag("--seed", arg + 7, &a.seed, 0);
-      } else if (std::strcmp(arg, "--help") != 0) {
-        std::printf("unknown flag %s\n", arg);
-        ok = false;
-      }
-      if (!ok || std::strcmp(arg, "--help") == 0) {
-        std::printf("flags: --runs=N --full --threads=N --seed=N\n");
-        std::exit(ok ? 0 : 2);
-      }
+    using enum sim::FlagValue;
+    std::vector<sim::Flag> flags = {
+        {"--runs", kRequired, "N", "runs per campaign cell (default: reduced)",
+         sim::SetInt(&a.runs, 1)},
+        {"--full", kNone, "",
+         "the paper's injection counts (Section VII-A)", sim::SetTrue(&a.full),
+         ~0u, {}, "with --runs", [&a] { return a.runs == 0; }},
+        {"--seed", kRequired, "N", "base seed (default 1000)",
+         sim::SetInt(&a.seed, 0)},
+    };
+    if (reads_threads) {
+      flags.push_back({"--threads", kRequired, "N",
+                       "worker threads (default 0: all cores)",
+                       sim::SetInt(&a.threads, 0)});
     }
+    sim::ParseFlags(argc, argv, flags);
     return a;
   }
 
@@ -65,21 +61,58 @@ struct BenchArgs {
   }
 };
 
-// Strict parse of a `--gate-pct=P` value: the whole value must be a finite,
-// non-negative decimal number ("15", "7.5"). "15%" or "abc" prints why and
-// returns false, never reads as 15 or as a 0% gate the way atof() does.
-inline bool ParseGatePct(std::string_view value, double* out) {
-  double v = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), end, v, std::chars_format::fixed);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0) {
-    std::printf("--gate-pct needs a non-negative decimal number, got '%.*s'\n",
-                static_cast<int>(value.size()), value.data());
-    return false;
+// Setter of `--gate-pct=P`: the whole value must be a finite, non-negative
+// decimal number ("15", "7.5"). "15%" or "abc" is an error, never read as
+// 15 or as a 0% gate the way atof() does.
+inline sim::FlagSetter SetGatePct(double* out) {
+  return [out](std::string_view value) {
+    double v = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] =
+        std::from_chars(value.data(), end, v, std::chars_format::fixed);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0) {
+      return "needs a non-negative decimal number, got '" +
+             std::string(value) + "'";
+    }
+    *out = v;
+    return std::string();
+  };
+}
+
+// The first field of `want` that `got` lacks or holds with another JSON
+// type, searching nested objects too; "" when there is none.
+inline std::string MismatchedField(const sim::JsonValue& want,
+                                   const sim::JsonValue& got) {
+  for (const auto& [key, w] : want.fields) {
+    const sim::JsonValue* g = got.Find(key);
+    if (g == nullptr || g->type != w.type) return key;
+    const std::string inner = MismatchedField(w, *g);
+    if (!inner.empty()) return key + "." + inner;
   }
-  *out = v;
-  return true;
+  return "";
+}
+
+// Reads the file of a --baseline flag into *out, before anything is
+// measured. It must hold every field, with the same JSON type, that
+// `shape` (the JSON the bench itself writes) holds, so a truncated file or
+// a missing or mistyped field is an error rather than a skipped check.
+inline std::string LoadBaseline(std::string_view path, const std::string& shape,
+                                sim::JsonValue* out) {
+  std::ifstream in{std::string(path)};
+  if (!in) return "cannot read " + std::string(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  sim::JsonValue want;
+  sim::ParseJson(shape, &want);
+  if (!sim::ParseJson(text.str(), out) || !out->IsObject()) {
+    return std::string(path) + " is not a JSON object";
+  }
+  const std::string field = MismatchedField(want, *out);
+  if (!field.empty()) {
+    return std::string(path) + ": field " + field +
+           " is missing or of the wrong type";
+  }
+  return "";
 }
 
 // Fixed integer workload used to normalize throughput metrics across

@@ -1,118 +1,22 @@
 // A command-line fault-injection campaign tool — the equivalent of the
-// paper's Campaign Agent (Section VI-C, Figure 1). Runs N independent
-// injection runs of a chosen configuration and prints the aggregate
-// statistics with 95% confidence intervals.
+// paper's Campaign Agent (Section VI-C, Figure 1). By default it runs N
+// independent injection runs of one configuration (forked off a warm
+// template, bit-identical to booting each run cold) and prints the
+// aggregate statistics with 95% confidence intervals. Its other modes
+// replay one run with full telemetry, fuzz the recovery stack and shrink or
+// re-check reproducers (src/fuzz/), and simulate a fleet (src/fleet/).
 //
-// Usage:
-//   campaign_tool [--mechanism=SLUG] [--fault=failstop|register|code]
-//                 [--setup=1appvm|3appvm] [--bench=unix|blk|net]
-//                 [--runs=N] [--seed=N] [--verbose]
-//                 [--snapshot-period=MS]
-//
-// --mechanism accepts any slug in core::kMechanisms (core/config.h) and
-// rejects an unknown slug, listing the valid ones; so do --fault, --setup
-// and --bench. Every integer flag takes a plain decimal value; a malformed
-// or out-of-range one exits 2. Each mode (campaign, replay, fuzzing,
-// corpus check, shrink, fleet) reads only its own flags, listed in
-// kFlagModes; any other flag exits 2 ("X has no effect with --fleet"), and
-// so does --bench without --setup=1appvm.
-// --snapshot-period sets the snapres capture cadence. Campaigns fork every
-// injection run off a warm template (core::RunCampaign), bit-identical to
-// booting each run cold. --verbose prints one line per run, in run order,
-// after the campaign finishes.
-//                 [--audit] [--audit-out=FILE.json]
-//                 [--trace-out=FILE.json] [--metrics-out=FILE.json]
-//                 [--dossier-dir=DIR] [--replay=RUN_ID]
-//                 [--profile-out=FILE.folded]
-//
-// --privvm-recovery arms the PrivVM component-recovery path (detector +
-// backend/ring repair, run after every hypervisor recovery and on PrivVM-only
-// failures). --privvm-plants[=OFFSET_US] additionally plants the correlated
-// during-recovery PrivVM damage (backend queue at OFFSET after detection,
-// I/O ring 500us later; default 200, the pair the test battery uses) into
-// every run; it implies --privvm-recovery. Offsets beyond a mechanism's
-// recovery latency land on the resumed system and survive as latent
-// corruption — the cross-component exposure window the corpus reproducers
-// pin.
-// --integrity arms the always-on epoch integrity monitor (src/integrity/):
-// every scheduler-tick epoch the per-subsystem state-hash ladder is
-// recomputed and unexplained drift (hash moved, mutation ledger static) is
-// flagged; the campaign aggregate gains the integrity block (drift runs,
-// corruption->drift latency histogram, first-drift surfaces).
-// --proactive[=THRESHOLD] additionally arms proactive rejuvenation: after
-// THRESHOLD unexplained drift events (default 1) the configured recovery
-// mechanism is triggered on the still-running system — recovery before
-// manifestation. Implies --integrity; a non-numeric or non-positive
-// THRESHOLD exits 2.
-// --integrity-out=FILE writes the campaign aggregate plus the seed0
-// replay's monitor summary (epochs, drifts, first-drift surface, drift
-// trail fingerprint) as JSON. Implies --integrity.
-// --audit runs the state auditor at the end of every run (differential
-// against a pre-injection golden snapshot) and splits the success rate into
-// audit-clean vs latent-corruption. --audit-out additionally replays seed0
-// and writes its full finding list as JSON (implies --audit).
-// --trace-out replays the campaign's first run (seed0) with span tracing
-// enabled and writes a Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto). --metrics-out writes the campaign aggregate plus the replayed
-// run's counters and histograms (forensics::MetricsJson) as JSON.
-//
-// Forensics:
-// --dossier-dir=DIR  after the campaign, deterministically replay every
-//                    non-successful run (failed recovery, SDC, or latent
-//                    corruption when --audit) with the flight recorder and
-//                    tracer on, and write one dossier per run to
-//                    DIR/run_<run_id>.json (run_id == the run's seed; the
-//                    directory is created if missing).
-// --replay=RUN_ID    skip the campaign and replay that one run with full
-//                    telemetry; prints the run's narrative (the flight
-//                    recorder's pinned events: injection, detection,
-//                    recovery phases, death), writes its dossier to
-//                    --dossier-dir (default "dossiers") and, with
-//                    --profile-out, a flamegraph.pl-compatible
-//                    collapsed-stack profile of the simulated time. It
-//                    reads the flags that shape a run (--mechanism
-//                    --fault --setup --bench --snapshot-period
-//                    --privvm-recovery --privvm-plants --integrity
-//                    --proactive); the replay always audits.
-// --profile-out=F    write the collapsed-stack profile of the replayed run
-//                    (with --replay, or of the seed0 replay otherwise).
-// Fuzzing (src/fuzz/):
-// --fuzz=N           run the scenario fuzzer for N scenarios (each evaluated
-//                    under NiLiHype, ReHype, and the no-recovery baseline by
-//                    the differential oracle); divergent scenarios are
-//                    shrunk to minimal reproducers.
-// --fuzz-seed=S      master seed of the fuzzing campaign (default 1; the
-//                    whole campaign is a pure function of it).
-// --threads=N        worker threads for campaigns and fuzzing (0 = auto).
-// --corpus=DIR       with --fuzz: write shrunk reproducers here. Without
-//                    --fuzz: corpus regression mode — replay every
-//                    reproducer in DIR and verify its recorded verdicts
-//                    byte-for-byte (exit 1 on any mismatch).
-// --shrink=FILE      re-shrink the scenario of an existing reproducer
-//                    bundle and report the minimal form (useful after
-//                    simulator changes).
-// --shrink-evals=N   oracle-evaluation budget per shrink (default 64).
-// --max-corpus=N     cap on reproducers emitted per fuzz run (default 16).
-// --replay also accepts a reproducer path: --replay=FILE.json re-evaluates
-// that scenario and prints the per-policy verdicts.
-// Fleet mode (src/fleet/):
-// --fleet            run the fleet-scale simulator instead of a campaign:
-//                    --hosts=N hosts each serving --tenants=N tenant VMs for
-//                    --fleet-horizon=S seconds under the configured
-//                    --mechanism, with fault events drawn from the master
-//                    seed (--seed). Prints the fleet summary (faults,
-//                    evacuations, request tallies, SLO-violation-minutes);
-//                    --fleet-out=FILE writes the FleetResult JSON. Fleet
-//                    mode reads only --mechanism, --fault, --seed,
-//                    --threads and its own flags.
-// --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
+// `campaign_tool --help` lists every flag and the flags each mode reads;
+// the flag table in main() is the one place they are declared. A flag the
+// chosen mode or configuration does not read exits 2, as does an unknown
+// flag or a malformed value.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.h"
@@ -122,7 +26,7 @@
 #include "forensics/profiler.h"
 #include "fuzz/engine.h"
 #include "fuzz/shrinker.h"
-#include "sim/int_flag.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -139,33 +43,11 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-void Usage() {
-  std::printf(
-      "usage: campaign_tool [options]\n"
-      "  run:      [--mechanism=SLUG] [--fault=failstop|register|code|memory]\n"
-      "            [--setup=1appvm|3appvm]\n"
-      "            [--bench=unix|blk|net] (with --setup=1appvm)\n"
-      "            [--snapshot-period=MS] [--privvm-recovery]\n"
-      "            [--privvm-plants[=OFFSET_US]] [--integrity]\n"
-      "            [--proactive[=THRESHOLD]] [--dossier-dir=DIR]\n"
-      "            [--profile-out=FILE.folded]\n"
-      "  campaign: [run flags] [--runs=N] [--seed=N] [--threads=N]\n"
-      "            [--verbose] [--audit] [--audit-out=FILE.json]\n"
-      "            [--integrity-out=FILE.json] [--trace-out=FILE.json]\n"
-      "            [--metrics-out=FILE.json]\n"
-      "  replay:   --replay=RUN_ID [run flags]  (print the run's event\n"
-      "            narrative, write its dossier to --dossier-dir)\n"
-      "            | --replay=REPRO.json [--threads=N]\n"
-      "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
-      "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
-      "  corpus:   --corpus=DIR [--threads=N]  (without --fuzz: replay every\n"
-      "            reproducer in DIR and verify its verdicts byte-for-byte)\n"
-      "  fleet:    --fleet [--hosts=N] [--tenants=N] [--fleet-horizon=S]\n"
-      "            [--placement=least-loaded|first-fit] [--fleet-out=FILE.json]\n"
-      "            [--mechanism=SLUG] [--fault=CLASS] [--seed=N] [--threads=N]\n"
-      "  shrink:   --shrink=REPRO.json [--shrink-evals=N] [--threads=N]\n"
-      "each mode reads only the flags listed for it; any other flag exits 2\n"
-      "see the header comment of examples/campaign_tool.cpp for details\n");
+// LoadReproducer, returning a flag setter's error.
+std::string LoadError(const std::string& path, fuzz::LoadedReproducer* out) {
+  std::string error;
+  fuzz::LoadReproducer(path, out, &error);
+  return error;
 }
 
 void PrintVerdicts(const fuzz::OracleOutcome& o) {
@@ -231,66 +113,6 @@ enum Mode : unsigned {
 };
 constexpr unsigned kRunModes = kReplayRun | kCampaign;  // build a RunConfig
 
-// The flag that selects each mode but the campaign, for error messages.
-struct ModeFlagName {
-  Mode mode;
-  const char* flag;
-};
-constexpr ModeFlagName kModeFlags[] = {
-    {kFleet, "--fleet"},   {kReplayFile, "--replay=FILE"},
-    {kShrink, "--shrink"}, {kFuzz, "--fuzz"},
-    {kCorpus, "--corpus"}, {kReplayRun, "--replay=RUN_ID"},
-};
-const char* ModeFlag(Mode mode) {
-  for (const ModeFlagName& m : kModeFlags) {
-    if (m.mode == mode) return m.flag;
-  }
-  return "";
-}
-
-// Which modes read each flag: the one list of what a flag does where.
-// --bench is read only with --setup=1appvm.
-struct FlagModes {
-  const char* flag;
-  unsigned modes;
-};
-constexpr FlagModes kFlagModes[] = {
-    {"--mechanism", kFleet | kRunModes},
-    {"--fault", kFleet | kRunModes},
-    {"--seed", kFleet | kCampaign},
-    {"--threads", kFleet | kReplayFile | kShrink | kFuzz | kCorpus | kCampaign},
-    {"--setup", kRunModes},
-    {"--bench", kRunModes},
-    {"--snapshot-period", kRunModes},
-    {"--privvm-recovery", kRunModes},
-    {"--privvm-plants", kRunModes},
-    {"--integrity", kRunModes},
-    {"--proactive", kRunModes},
-    {"--dossier-dir", kRunModes},
-    {"--profile-out", kRunModes},
-    {"--runs", kCampaign},
-    {"--verbose", kCampaign},
-    {"--audit", kCampaign},  // a replay always audits
-    {"--audit-out", kCampaign},
-    {"--integrity-out", kCampaign},
-    {"--trace-out", kCampaign},
-    {"--metrics-out", kCampaign},
-    {"--replay", kReplayFile | kReplayRun},
-    {"--shrink", kShrink},
-    {"--shrink-evals", kShrink | kFuzz},
-    {"--fuzz", kFuzz},
-    {"--fuzz-seed", kFuzz},
-    {"--fuzz-all-mechs", kFuzz},
-    {"--max-corpus", kFuzz},
-    {"--corpus", kFuzz | kCorpus},
-    {"--fleet", kFleet},
-    {"--hosts", kFleet},
-    {"--tenants", kFleet},
-    {"--fleet-horizon", kFleet},
-    {"--placement", kFleet},
-    {"--fleet-out", kFleet},
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -309,6 +131,7 @@ int main(int argc, char** argv) {
   bool replay_mode = false;
   std::uint64_t replay_id = 0;
   std::string replay_path;   // --replay=<reproducer.json>
+  fuzz::LoadedReproducer rep;  // read by --replay=FILE or --shrink=FILE
   int fuzz_iterations = 0;   // --fuzz=N (0 = fuzzing off)
   std::uint64_t fuzz_seed = 1;
   std::string corpus_dir;
@@ -321,200 +144,169 @@ int main(int argc, char** argv) {
   bool fleet_mode = false;      // --fleet: fleet simulator instead of campaign
   fleet::FleetConfig fleet_cfg;
   std::string fleet_out;
-  std::vector<std::string> flags_given;  // each flag's name, without value
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    flags_given.push_back(arg.substr(0, arg.find('=')));
-    auto val = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    // Integer flags parse strictly; a malformed value clears `ok`.
-    bool ok = true;
-    if (arg.rfind("--mechanism=", 0) == 0) {
-      const std::string slug = val("--mechanism=");
-      if (!core::MechanismFromSlug(slug, &cfg.mechanism)) {
-        std::printf("unknown mechanism '%s'; valid:", slug.c_str());
-        for (const core::MechanismInfo& e : core::kMechanisms) {
-          std::printf(" %s", e.slug);
-        }
-        std::printf("\n");
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--snapshot-period=", 0) == 0) {
-      int ms = 0;
-      ok = sim::ParseIntFlag("--snapshot-period", val("--snapshot-period="),
-                             &ms, 1);
-      cfg.snapshot_period = sim::Milliseconds(ms);
-    } else if (arg == "--fuzz-all-mechs") {
-      fuzz_all_mechs = true;
-    } else if (arg.rfind("--fault=", 0) == 0) {
-      // Strict fault-class selection: an unknown class used to fall through
-      // to failstop silently (and "memory" was unreachable entirely).
-      const std::string f = val("--fault=");
-      if (f == "failstop") {
-        cfg.fault = inject::FaultType::kFailstop;
-      } else if (f == "register") {
-        cfg.fault = inject::FaultType::kRegister;
-      } else if (f == "code") {
-        cfg.fault = inject::FaultType::kCode;
-      } else if (f == "memory") {
-        cfg.fault = inject::FaultType::kMemory;
-      } else {
-        std::printf("unknown fault class '%s'; valid: failstop register code"
-                    " memory\n",
-                    f.c_str());
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--setup=", 0) == 0) {
-      const std::string s = val("--setup=");
-      if (s != "1appvm" && s != "3appvm") {
-        std::printf("unknown setup '%s'; valid: 1appvm 3appvm\n", s.c_str());
-        Usage();
-        return 2;
-      }
-      one_appvm = s == "1appvm";
-    } else if (arg.rfind("--bench=", 0) == 0) {
-      const std::string b = val("--bench=");
-      if (b == "unix") {
-        bench = guest::BenchmarkKind::kUnixBench;
-      } else if (b == "blk") {
-        bench = guest::BenchmarkKind::kBlkBench;
-      } else if (b == "net") {
-        bench = guest::BenchmarkKind::kNetBench;
-      } else {
-        std::printf("unknown benchmark '%s'; valid: unix blk net\n",
-                    b.c_str());
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      ok = sim::ParseIntFlag("--runs", val("--runs="), &opts.runs, 1);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      ok = sim::ParseIntFlag("--seed", val("--seed="), &opts.seed0, 0);
-    } else if (arg == "--privvm-recovery") {
-      cfg.privvm_recovery = true;
-    } else if (arg == "--privvm-plants" ||
-               arg.rfind("--privvm-plants=", 0) == 0) {
-      if (arg.rfind("--privvm-plants=", 0) == 0) {
-        int us = 0;
-        ok = sim::ParseIntFlag("--privvm-plants", val("--privvm-plants="),
-                               &us, 1);
-        privvm_plant_offset = sim::Microseconds(us);
-      }
-      privvm_plants = true;
-      cfg.privvm_recovery = true;  // plants are invisible without the passes
-    } else if (arg == "--audit") {
-      cfg.audit = true;
-    } else if (arg.rfind("--audit-out=", 0) == 0) {
-      audit_out = val("--audit-out=");
-      cfg.audit = true;
-    } else if (arg == "--integrity") {
-      cfg.integrity = true;
-    } else if (arg == "--proactive" || arg.rfind("--proactive=", 0) == 0) {
-      if (arg.rfind("--proactive=", 0) == 0) {
-        ok = sim::ParseIntFlag("--proactive", val("--proactive="),
-                               &cfg.proactive_threshold, 1);
-      }
-      cfg.proactive = true;
-      cfg.integrity = true;  // rejuvenation consumes the monitor's drifts
-    } else if (arg.rfind("--integrity-out=", 0) == 0) {
-      integrity_out = val("--integrity-out=");
-      cfg.integrity = true;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = val("--trace-out=");
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = val("--metrics-out=");
-    } else if (arg.rfind("--dossier-dir=", 0) == 0) {
-      dossier_dir = val("--dossier-dir=");
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      // A run id, or else the path of a reproducer bundle.
-      const std::string what = val("--replay=");
-      replay_mode = sim::ParseInt(what, &replay_id, 0);
-      if (!replay_mode) replay_path = what;
-    } else if (arg.rfind("--profile-out=", 0) == 0) {
-      profile_out = val("--profile-out=");
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      ok = sim::ParseIntFlag("--threads", val("--threads="), &opts.threads, 0);
-    } else if (arg.rfind("--fuzz=", 0) == 0) {
-      ok = sim::ParseIntFlag("--fuzz", val("--fuzz="), &fuzz_iterations, 1);
-    } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      ok = sim::ParseIntFlag("--fuzz-seed", val("--fuzz-seed="), &fuzz_seed, 0);
-    } else if (arg.rfind("--corpus=", 0) == 0) {
-      corpus_dir = val("--corpus=");
-    } else if (arg.rfind("--shrink=", 0) == 0) {
-      shrink_path = val("--shrink=");
-    } else if (arg.rfind("--shrink-evals=", 0) == 0) {
-      ok = sim::ParseIntFlag("--shrink-evals", val("--shrink-evals="),
-                             &shrink_evals, 0);
-    } else if (arg.rfind("--max-corpus=", 0) == 0) {
-      ok = sim::ParseIntFlag("--max-corpus", val("--max-corpus="),
-                             &max_corpus, 0);
-    } else if (arg == "--fleet") {
-      fleet_mode = true;
-    } else if (arg.rfind("--hosts=", 0) == 0) {
-      ok = sim::ParseIntFlag("--hosts", val("--hosts="), &fleet_cfg.hosts, 1);
-    } else if (arg.rfind("--tenants=", 0) == 0) {
-      ok = sim::ParseIntFlag("--tenants", val("--tenants="),
-                             &fleet_cfg.tenants_per_host, 1);
-    } else if (arg.rfind("--fleet-horizon=", 0) == 0) {
-      ok = sim::ParseIntFlag("--fleet-horizon", val("--fleet-horizon="),
-                             &fleet_cfg.horizon_s, 1);
-    } else if (arg.rfind("--placement=", 0) == 0) {
-      const std::string slug = val("--placement=");
-      if (!fleet::PlacementPolicyFromSlug(slug, &fleet_cfg.placement)) {
-        std::printf(
-            "unknown placement policy '%s'; valid: least-loaded first-fit\n",
-            slug.c_str());
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--fleet-out=", 0) == 0) {
-      fleet_out = val("--fleet-out=");
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else {
-      std::printf("unknown flag %s\n", arg.c_str());
-      ok = false;
-    }
-    if (!ok) {
-      Usage();
-      return 2;
-    }
+  sim::Choices<core::Mechanism> mechanisms;
+  for (const core::MechanismInfo& e : core::kMechanisms) {
+    mechanisms.emplace_back(e.slug, e.mechanism);
+  }
+  const sim::Choices<inject::FaultType> faults = {
+      {"failstop", inject::FaultType::kFailstop},
+      {"register", inject::FaultType::kRegister},
+      {"code", inject::FaultType::kCode},
+      {"memory", inject::FaultType::kMemory}};
+  const sim::Choices<bool> setups = {{"1appvm", true}, {"3appvm", false}};
+  const sim::Choices<guest::BenchmarkKind> benches = {
+      {"unix", guest::BenchmarkKind::kUnixBench},
+      {"blk", guest::BenchmarkKind::kBlkBench},
+      {"net", guest::BenchmarkKind::kNetBench}};
+  sim::Choices<fleet::PlacementPolicy> placements;
+  for (const auto p : {fleet::PlacementPolicy::kLeastLoaded,
+                       fleet::PlacementPolicy::kFirstFit}) {
+    placements.emplace_back(fleet::PlacementPolicyName(p), p);
   }
 
-  // A flag the running mode does not read exits 2.
-  const Mode mode = fleet_mode               ? kFleet
-                    : !replay_path.empty()   ? kReplayFile
-                    : !shrink_path.empty()   ? kShrink
-                    : fuzz_iterations > 0    ? kFuzz
-                    : !corpus_dir.empty()    ? kCorpus
-                    : replay_mode            ? kReplayRun
-                                             : kCampaign;
-  for (const std::string& flag : flags_given) {
-    unsigned reads = 0;
-    for (const FlagModes& f : kFlagModes) {
-      if (flag == f.flag) reads = f.modes;
-    }
-    if ((reads & mode) != 0 && (flag != "--bench" || one_appvm)) continue;
-    std::string why;
-    if ((reads & mode) != 0) {
-      why = "without --setup=1appvm";
-    } else if (mode != kCampaign) {
-      why = std::string("with ") + ModeFlag(mode);
-    } else {
-      for (const ModeFlagName& m : kModeFlags) {
-        if ((reads & m.mode) != 0) {
-          why += (why.empty() ? "without " : " or ") + std::string(m.flag);
-        }
-      }
-    }
-    std::printf("%s has no effect %s\n", flag.c_str(), why.c_str());
-    Usage();
-    return 2;
-  }
+  using enum sim::FlagValue;
+  const sim::Flag flags[] = {
+      // What a run is: read by campaigns and --replay=RUN_ID, the first two
+      // by the fleet's hosts too.
+      {"--mechanism", kRequired, sim::ChoiceForm(mechanisms),
+       "recovery mechanism (default nilihype)",
+       sim::SetChoice("mechanism", mechanisms, &cfg.mechanism),
+       kFleet | kRunModes},
+      {"--fault", kRequired, sim::ChoiceForm(faults), "(default failstop)",
+       sim::SetChoice("fault class", faults, &cfg.fault), kFleet | kRunModes},
+      {"--setup", kRequired, sim::ChoiceForm(setups), "(default 3appvm)",
+       sim::SetChoice("setup", setups, &one_appvm), kRunModes},
+      {"--bench", kRequired, sim::ChoiceForm(benches),
+       "the 1AppVM workload (default unix)",
+       sim::SetChoice("benchmark", benches, &bench), kRunModes, {},
+       "without --setup=1appvm", [&] { return one_appvm; }},
+      {"--snapshot-period", kRequired, "MS", "SnapRes cadence (default 100)",
+       [&](std::string_view v) {
+         int ms = 0;
+         const std::string error = sim::IntError(v, &ms, 1);
+         cfg.snapshot_period = sim::Milliseconds(ms);
+         return error;
+       },
+       kRunModes, {}, "without --mechanism=snapres",
+       [&] { return cfg.mechanism == core::Mechanism::kSnapRes; }},
+      {"--privvm-recovery", kNone, "", "repair the PrivVM after recoveries",
+       sim::SetTrue(&cfg.privvm_recovery), kRunModes},
+      {"--privvm-plants", kOptional, "OFFSET_US",
+       "damage the PrivVM's backend queue OFFSET_US (default 200) after "
+       "detection, an I/O ring 500 us later; implies --privvm-recovery",
+       [&](std::string_view v) {
+         privvm_plants = true;
+         cfg.privvm_recovery = true;  // plants are invisible without the passes
+         int us = 0;
+         if (v.empty()) return std::string();
+         const std::string error = sim::IntError(v, &us, 1);
+         privvm_plant_offset = sim::Microseconds(us);
+         return error;
+       },
+       kRunModes},
+      {"--integrity", kNone, "", "arm the epoch integrity monitor",
+       sim::SetTrue(&cfg.integrity), kRunModes},
+      {"--proactive", kOptional, "THRESHOLD",
+       "recover after THRESHOLD (default 1) drifts; implies --integrity",
+       [&](std::string_view v) {
+         cfg.proactive = true;
+         cfg.integrity = true;  // rejuvenation consumes the monitor's drifts
+         if (v.empty()) return std::string();
+         return sim::IntError(v, &cfg.proactive_threshold, 1);
+       },
+       kRunModes},
+      {"--dossier-dir", kRequired, "DIR",
+       "write the dossier of every unsuccessful run (default dossiers)",
+       sim::SetString(&dossier_dir), kRunModes},
+      {"--profile-out", kRequired, "FILE",
+       "write the replayed (or seed0) run's collapsed-stack profile",
+       sim::SetString(&profile_out), kRunModes},
+      // Campaigns.
+      {"--runs", kRequired, "N", "(default 200)", sim::SetInt(&opts.runs, 1),
+       kCampaign},
+      {"--seed", kRequired, "N", "first run's or fleet's seed (default 1000)",
+       sim::SetInt(&opts.seed0, 0), kFleet | kCampaign},
+      {"--threads", kRequired, "N", "(default 0: all cores)",
+       sim::SetInt(&opts.threads, 0),
+       kFleet | kReplayFile | kShrink | kFuzz | kCorpus | kCampaign},
+      {"--verbose", kNone, "", "print one line per run",
+       sim::SetTrue(&verbose), kCampaign},
+      {"--audit", kNone, "", "audit every run against a golden snapshot",
+       sim::SetTrue(&cfg.audit), kCampaign},  // a replay always audits
+      {"--audit-out", kRequired, "FILE",
+       "write seed0's audit findings; implies --audit",
+       [&](std::string_view v) {
+         audit_out = v;
+         cfg.audit = true;
+         return std::string();
+       },
+       kCampaign},
+      {"--integrity-out", kRequired, "FILE",
+       "write seed0's integrity summary; implies --integrity",
+       [&](std::string_view v) {
+         integrity_out = v;
+         cfg.integrity = true;
+         return std::string();
+       },
+       kCampaign},
+      {"--trace-out", kRequired, "FILE", "write seed0's Chrome trace",
+       sim::SetString(&trace_out), kCampaign},
+      {"--metrics-out", kRequired, "FILE", "write seed0's metrics",
+       sim::SetString(&metrics_out), kCampaign},
+      // Replays, fuzzing, corpus checks and shrinking.
+      {"--replay", kRequired, "RUN_ID|FILE",
+       "replay one campaign run, or judge a reproducer again",
+       [&](std::string_view v) {
+         replay_mode = sim::ParseInt(v, &replay_id, 0);
+         replay_path = replay_mode ? "" : v;
+         return replay_mode ? std::string() : LoadError(replay_path, &rep);
+       },
+       kReplayFile | kReplayRun,
+       {{kReplayFile, "=FILE"}, {kReplayRun, "=RUN_ID"}}},
+      {"--fuzz", kRequired, "N", "fuzz N scenarios",
+       sim::SetInt(&fuzz_iterations, 1), kFuzz, {{kFuzz, ""}}},
+      {"--fuzz-seed", kRequired, "S", "(default 1)", sim::SetInt(&fuzz_seed, 0),
+       kFuzz},
+      {"--fuzz-all-mechs", kNone, "", "judge SnapRes too",
+       sim::SetTrue(&fuzz_all_mechs), kFuzz},
+      {"--max-corpus", kRequired, "N", "reproducers to write (default 16)",
+       sim::SetInt(&max_corpus, 0), kFuzz},
+      {"--corpus", kRequired, "DIR",
+       "where --fuzz writes reproducers; alone, check every one in DIR",
+       sim::SetString(&corpus_dir), kFuzz | kCorpus, {{kCorpus, ""}}},
+      {"--shrink", kRequired, "FILE", "shrink a reproducer again",
+       [&](std::string_view v) {
+         shrink_path = v;
+         return LoadError(shrink_path, &rep);
+       },
+       kShrink, {{kShrink, ""}}},
+      {"--shrink-evals", kRequired, "N", "budget per shrink (default 64)",
+       sim::SetInt(&shrink_evals, 0), kShrink | kFuzz},
+      // The fleet.
+      {"--fleet", kNone, "", "simulate a fleet", sim::SetTrue(&fleet_mode),
+       kFleet, {{kFleet, ""}}},
+      {"--hosts", kRequired, "N", "(default 100)",
+       sim::SetInt(&fleet_cfg.hosts, 1), kFleet},
+      {"--tenants", kRequired, "N", "per host (default 10)",
+       sim::SetInt(&fleet_cfg.tenants_per_host, 1), kFleet},
+      {"--fleet-horizon", kRequired, "S", "(default 3600)",
+       sim::SetInt(&fleet_cfg.horizon_s, 1), kFleet},
+      {"--placement", kRequired, sim::ChoiceForm(placements), "",
+       sim::SetChoice("placement policy", placements, &fleet_cfg.placement),
+       kFleet},
+      {"--fleet-out", kRequired, "FILE", "write the fleet result",
+       sim::SetString(&fleet_out), kFleet},
+  };
+  sim::ParseFlags(argc, argv, flags, [&]() -> unsigned {
+    return fleet_mode               ? kFleet
+           : !replay_path.empty()   ? kReplayFile
+           : !shrink_path.empty()   ? kShrink
+           : fuzz_iterations > 0    ? kFuzz
+           : !corpus_dir.empty()    ? kCorpus
+           : replay_mode            ? kReplayRun
+                                    : kCampaign;
+  });
 
   // --- Fleet mode (src/fleet/) ----------------------------------------------
   if (fleet_mode) {
@@ -542,31 +334,19 @@ int main(int argc, char** argv) {
 
   // --- Fuzzing / corpus / reproducer modes (src/fuzz/) ----------------------
   if (!replay_path.empty()) {
-    fuzz::LoadedReproducer rep;
-    std::string err;
-    if (!fuzz::LoadReproducer(replay_path, &rep, &err)) {
-      std::printf("cannot replay %s: %s\n", replay_path.c_str(), err.c_str());
-      Usage();
-      return 2;
-    }
     std::printf("replaying reproducer %s (%s, %d plan elements)\n",
                 replay_path.c_str(), fuzz::DivergenceKindName(rep.divergence),
                 rep.scenario.PlanElementCount());
     const fuzz::OracleOutcome o =
-        fuzz::EvaluateScenario(rep.scenario, opts.threads);
+        fuzz::EvaluateScenario(rep.scenario, opts.threads, rep.policies);
     PrintVerdicts(o);
     return o.divergence == rep.divergence ? 0 : 1;
   }
   if (!shrink_path.empty()) {
-    fuzz::LoadedReproducer rep;
-    std::string err;
-    if (!fuzz::LoadReproducer(shrink_path, &rep, &err)) {
-      std::printf("cannot shrink %s: %s\n", shrink_path.c_str(), err.c_str());
-      Usage();
-      return 2;
-    }
-    const fuzz::OracleOutcome before =
-        fuzz::EvaluateScenario(rep.scenario, opts.threads);
+    const auto evaluate = [&](const fuzz::Scenario& s) {
+      return fuzz::EvaluateScenario(s, opts.threads, rep.policies);
+    };
+    const fuzz::OracleOutcome before = evaluate(rep.scenario);
     if (before.divergence != rep.divergence) {
       std::printf("scenario no longer shows %s (now %s) — nothing to shrink\n",
                   fuzz::DivergenceKindName(rep.divergence),
@@ -574,11 +354,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const fuzz::ShrinkResult shrunk = fuzz::ShrinkScenario(
-        rep.scenario, rep.divergence,
-        [&opts](const fuzz::Scenario& s) {
-          return fuzz::EvaluateScenario(s, opts.threads);
-        },
-        shrink_evals);
+        rep.scenario, rep.divergence, evaluate, shrink_evals);
     std::printf("shrunk to %d plan element(s) in %d eval(s):\n%s\n",
                 shrunk.scenario.PlanElementCount(), shrunk.evals,
                 shrunk.scenario.ToJson().c_str());
@@ -609,8 +385,8 @@ int main(int argc, char** argv) {
   }
   if (!corpus_dir.empty()) {
     if (!std::filesystem::is_directory(corpus_dir)) {
-      std::printf("corpus directory %s does not exist\n", corpus_dir.c_str());
-      Usage();
+      std::printf("corpus directory %s does not exist\n%s", corpus_dir.c_str(),
+                  sim::FlagUsage("campaign_tool", flags).c_str());
       return 2;
     }
     return RunCorpusCheck(corpus_dir, opts.threads);

@@ -76,7 +76,6 @@ class TargetSystem {
   }
   guest::NetPeer* net_peer() { return peer_.get(); }
   // Component-level PrivVM recovery path (only when config.privvm_recovery).
-  detect::PrivVmDetector* privvm_detector() { return privvm_detector_.get(); }
   recovery::PrivVmRecovery* privvm_recovery() { return privvm_recovery_.get(); }
   // Integrity observability path (only when config.integrity).
   integrity::EpochMonitor* integrity_monitor() { return monitor_.get(); }
@@ -88,9 +87,6 @@ class TargetSystem {
   }
   // The pre-injection golden snapshot (captured only when config.audit).
   const audit::GoldenSnapshot& golden_snapshot() const { return golden_; }
-  const inject::InjectionRecord* injection() const {
-    return injector_ ? &injector_->record() : nullptr;
-  }
 
   // Runs the event queue up to `t` without classifying (tests/examples).
   void RunUntil(sim::Time t);

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace nlh::fleet {
@@ -21,19 +20,6 @@ inline const char* PlacementPolicyName(PlacementPolicy p) {
     case PlacementPolicy::kFirstFit: return "first-fit";
   }
   return "?";
-}
-
-inline bool PlacementPolicyFromSlug(const std::string& slug,
-                                    PlacementPolicy* out) {
-  if (slug == "least-loaded") {
-    *out = PlacementPolicy::kLeastLoaded;
-    return true;
-  }
-  if (slug == "first-fit") {
-    *out = PlacementPolicy::kFirstFit;
-    return true;
-  }
-  return false;
 }
 
 // One host's standing in the placement decision.

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 namespace nlh::integrity {
 
@@ -59,15 +58,6 @@ class StateHasher {
   // changes the final value — no corruption can hash-collide with the
   // clean state through this path alone.
   void MixWord(std::uint64_t v) { h_ = (h_ ^ v) * kHashPrime; }
-
-  // Whole-object fast path, available only for padding-free trivially
-  // copyable types (a padded struct would hash indeterminate bytes).
-  template <typename T>
-  void MixObject(const T& v) {
-    static_assert(std::has_unique_object_representations_v<T>,
-                  "MixObject on a padded type: hash field-wise instead");
-    MixBytes(&v, sizeof(T));
-  }
 
  private:
   std::uint64_t h_ = kHashSeed;

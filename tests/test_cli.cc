@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <sys/wait.h>
 #include <utility>
+#include <vector>
+
+#include "malformed.h"
 
 namespace {
 
@@ -51,6 +55,32 @@ TEST(CampaignToolCli, UnknownFlagExitsNonzeroWithUsage) {
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown flag --bogus-flag"), std::string::npos);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, HelpPrintsTheUsageAndExitsZero) {
+  const CliResult r = RunTool("--help");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("usage: campaign_tool"), std::string::npos);
+  // The usage text is generated from the flag table, modes included.
+  EXPECT_NE(r.output.find("--fleet-horizon=S"), std::string::npos);
+  EXPECT_NE(r.output.find("--replay=RUN_ID"), std::string::npos);
+}
+
+TEST(CampaignToolCli, FlagValueSyntaxIsChecked) {
+  // A switch given a value, a flag without its value, and an empty value:
+  // "--trace-out=" used to read as no trace at all and exit 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--verbose=1 --runs=1", "--verbose: takes no value"},
+      {"--runs", "--runs: needs a value (--runs=N)"},
+      {"--trace-out= --runs=1", "--trace-out: needs a value"},
+      {"--proactive= --runs=1", "--proactive: needs a value"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliResult r = RunTool(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  }
 }
 
 TEST(CampaignToolCli, UnreadableReplayPathExitsNonzeroWithUsage) {
@@ -234,6 +264,24 @@ TEST(CampaignToolCli, SnapresCampaignRunsEndToEnd) {
   EXPECT_NE(r.output.find("successful recovery rate"), std::string::npos);
 }
 
+TEST(CampaignToolCli, SnapshotPeriodIsReadOnlyBySnapRes) {
+  // RunConfig::snapshot_period is read only by SnapRes: with NiLiHype the
+  // flag used to change nothing and exit 0.
+  const CliResult r =
+      RunTool("--mechanism=nilihype --snapshot-period=7 --runs=2");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find(
+                "--snapshot-period has no effect without --mechanism=snapres"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  const CliResult snapres = RunTool(
+      "--mechanism=snapres --snapshot-period=7 --runs=2 --threads=2");
+  EXPECT_EQ(snapres.exit_code, 0) << snapres.output;
+  EXPECT_NE(snapres.output.find("campaign: SnapRes"), std::string::npos)
+      << snapres.output;
+}
+
 TEST(CampaignToolCli, RemovedWarmForkFlagIsUnknown) {
   // Campaigns fork warm on their own; the switch that chose it is gone.
   const CliResult r = RunTool("--warm-fork --runs=1");
@@ -415,6 +463,53 @@ TEST(CampaignToolCli, ReplayRejectsScenarioNumbersThatDoNotFitTheirField) {
         << r.output;
   }
   std::remove(path.c_str());
+}
+
+TEST(CampaignToolCli, ReplayRejectsTruncatedAndRetypedBundles) {
+  // test_corpus feeds the loader 65 truncations and every retyped field of
+  // each bundle; a sample of them goes through --replay=FILE here, which
+  // must exit 2.
+  const std::string path = ::testing::TempDir() + "replay_mangled.json";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NLH_CORPUS_DIR)) {
+    const std::string text = ReadFile(entry.path().string());
+    std::vector<nlh::malformed::Mangled> mangled =
+        nlh::malformed::Truncations(text, 3);
+    const std::vector<nlh::malformed::Mangled> fields =
+        nlh::malformed::MangledFields(
+            text, nlh::malformed::ReadByReproducerLoader, false);
+    for (std::size_t i = 0; i < fields.size(); i += 9) {
+      mangled.push_back(fields[i]);
+    }
+    for (const nlh::malformed::Mangled& m : mangled) {
+      ASSERT_TRUE(nlh::malformed::WriteText(path, m.text));
+      const CliResult r = RunTool("--replay=" + path);
+      EXPECT_EQ(r.exit_code, 2) << entry.path() << ": " << m.what << "\n"
+                                << r.output;
+      EXPECT_NE(r.output.find("usage:"), std::string::npos);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignToolCli, ReplayJudgesAReproducerUnderTheRecordedPolicies) {
+  // A bundle fuzzed with --fuzz-all-mechs records four verdicts; its
+  // replay used to judge the default three and print no SnapRes line.
+  const std::string dir = ::testing::TempDir() + "all_mechs_corpus";
+  std::filesystem::remove_all(dir);
+  const CliResult fuzz = RunTool(
+      "--fuzz=16 --fuzz-seed=7 --fuzz-all-mechs --threads=2 --corpus=" + dir);
+  ASSERT_EQ(fuzz.exit_code, 0) << fuzz.output;
+  std::vector<std::string> repros;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    repros.push_back(entry.path().string());
+  }
+  ASSERT_FALSE(repros.empty()) << fuzz.output;
+  const CliResult replay = RunTool("--replay=" + repros.front());
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
+  EXPECT_NE(replay.output.find("\n  SnapRes "), std::string::npos)
+      << replay.output;
 }
 
 TEST(CampaignToolCli, FleetRunsEndToEndAndWritesJson) {

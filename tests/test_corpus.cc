@@ -17,6 +17,7 @@
 
 #include "fuzz/corpus.h"
 #include "fuzz/oracle.h"
+#include "malformed.h"
 
 namespace {
 
@@ -49,16 +50,7 @@ TEST(CorpusShipment, SpansAtLeastFourAuditSubsystems) {
       << "corpus reproducers cover too few audit subsystems";
 }
 
-std::string ReadText(const std::string& path) {
-  std::string text;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
+using malformed::ReadText;
 
 TEST(CorpusLoad, RejectsScenarioNumbersThatDoNotFitTheirField) {
   // A hand-edited reproducer must be refused, not replayed with a value
@@ -96,6 +88,32 @@ TEST(CorpusLoad, RejectsScenarioNumbersThatDoNotFitTheirField) {
     EXPECT_NE(err.find("malformed scenario"), std::string::npos) << err;
   }
   std::remove(path.c_str());
+}
+
+TEST(CorpusLoad, RejectsTruncatedAndRetypedBundles) {
+  // A cut-off download or a hand edit must be refused, never replayed
+  // half-read: prefixes at 65 lengths, and every value the loader reads
+  // given another JSON type.
+  const std::string path = ::testing::TempDir() + "nlh_mangled_repro.json";
+  int cases = 0;
+  for (const std::string& repro : CorpusPaths()) {
+    const std::string text = ReadText(repro);
+    std::vector<malformed::Mangled> mangled = malformed::Truncations(text, 64);
+    for (malformed::Mangled& m : malformed::MangledFields(
+             text, malformed::ReadByReproducerLoader, false)) {
+      mangled.push_back(std::move(m));
+    }
+    for (const malformed::Mangled& m : mangled) {
+      ASSERT_TRUE(malformed::WriteText(path, m.text));
+      fuzz::LoadedReproducer rep;
+      std::string err;
+      EXPECT_FALSE(fuzz::LoadReproducer(path, &rep, &err))
+          << repro << ": " << m.what;
+      ++cases;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(cases, 1000);
 }
 
 TEST(CorpusRegression, EveryReproducerReplaysByteForByte) {
