@@ -49,16 +49,12 @@ void BM_HypercallMmuUpdate(benchmark::State& state) {
 BENCHMARK(BM_HypercallMmuUpdate)->Arg(0)->Arg(1);
 
 // Flight-recorder cost on the hypercall hot path: Arg(0) recorder off (the
-// campaign configuration — one disabled-recorder branch per NLH_RECORD
-// site), Arg(1) recorder on (the forensic-replay configuration, full ring
-// writes).
+// campaign configuration — one enabled test per hypercall span and per
+// NLH_RECORD site), Arg(1) recorder on (the forensic-replay configuration,
+// full ring writes).
 void BM_HypercallRecorder(benchmark::State& state) {
   World w;
-  if (state.range(0) != 0) {
-    w.hv.flight_recorder().Enable(w.platform.num_cpus());
-  } else {
-    w.hv.flight_recorder().Disable();
-  }
+  if (state.range(0) != 0) w.hv.flight_recorder().Enable(w.platform.num_cpus());
   hv::HypercallArgs a;
   bool map = true;
   for (auto _ : state) {

@@ -1,5 +1,5 @@
 // Machine-readable recovery phase breakdown (the Table II / Table III row
-// structure as JSON): one traced replay per mechanism plus a small campaign
+// structure as JSON): one recorded run per mechanism plus a small campaign
 // per mechanism for mean/p99 per-phase aggregates.
 //
 // Flags: see --help.
@@ -28,12 +28,12 @@ core::RunConfig Config(core::Mechanism mech, std::uint64_t seed) {
   return cfg;
 }
 
-// One mechanism's JSON object: per-phase rows from a traced single run,
-// plus campaign mean/p99 aggregates.
+// One mechanism's JSON object: per-phase rows from a single run with the
+// flight recorder on, plus campaign mean/p99 aggregates.
 std::string MechanismJson(core::Mechanism mech, int runs,
                           std::uint64_t seed0) {
   core::TargetSystem sys(Config(mech, seed0));
-  sys.EnableTracing();
+  sys.EnableFlightRecorder();
   const core::RunResult r = sys.Run();
 
   std::string out = "{\"mechanism\":";
@@ -50,8 +50,12 @@ std::string MechanismJson(core::Mechanism mech, int runs,
            ",\"ms\":" + sim::JsonNum(ms, 6) + "}";
   }
   out += "],\"total_ms\":" + sim::JsonNum(total_ms, 6);
-  out += ",\"trace_spans\":" +
-         std::to_string(sys.hv().tracer().Snapshot().size()) + "}";
+  int spans = 0;
+  for (const forensics::FlightEvent& ev :
+       sys.hv().flight_recorder().Retained()) {
+    spans += forensics::IsSpanKind(ev.kind) ? 1 : 0;
+  }
+  out += ",\"trace_spans\":" + std::to_string(spans) + "}";
 
   core::CampaignOptions opts;
   opts.runs = runs;

@@ -63,32 +63,29 @@ void PrintVerdicts(const fuzz::OracleOutcome& o) {
               o.detail.empty() ? "" : " — ", o.detail.c_str());
 }
 
-// Corpus regression mode: replay every reproducer, byte-compare verdicts.
+// Corpus regression mode: replay every reproducer, compare its verdicts.
+// Every bundle loads before any replays: a malformed one is an input error
+// (exit 2, naming the file), not a mismatch.
 int RunCorpusCheck(const std::string& dir, int threads) {
   const std::vector<std::string> paths = fuzz::ListCorpus(dir);
+  std::vector<fuzz::LoadedReproducer> reps(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    std::string err;
+    if (!fuzz::LoadReproducer(paths[i], &reps[i], &err)) {
+      std::printf("--corpus: %s\n", err.c_str());
+      return 2;
+    }
+  }
   std::printf("corpus check: %zu reproducer(s) under %s\n", paths.size(),
               dir.c_str());
   int failures = 0;
-  for (const std::string& path : paths) {
-    fuzz::LoadedReproducer rep;
-    std::string err;
-    if (!fuzz::LoadReproducer(path, &rep, &err)) {
-      std::printf("  LOAD-FAIL %s (%s)\n", path.c_str(), err.c_str());
-      ++failures;
-      continue;
-    }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const fuzz::LoadedReproducer& rep = reps[i];
     const fuzz::OracleOutcome o =
         fuzz::EvaluateScenario(rep.scenario, threads, rep.policies);
-    bool ok = o.divergence == rep.divergence &&
-              o.verdicts.size() == rep.expected_verdicts.size();
-    for (std::size_t i = 0; ok && i < o.verdicts.size(); ++i) {
-      sim::JsonValue doc;
-      if (!sim::ParseJson(o.verdicts[i].ToJson(), &doc) ||
-          sim::WriteJson(doc) != rep.expected_verdicts[i]) {
-        ok = false;
-      }
-    }
-    std::printf("  %-8s %s\n", ok ? "OK" : "MISMATCH", path.c_str());
+    const bool ok =
+        o.divergence == rep.divergence && o.verdicts == rep.expected;
+    std::printf("  %-8s %s\n", ok ? "OK" : "MISMATCH", paths[i].c_str());
     if (!ok) ++failures;
   }
   if (failures > 0) {
@@ -340,7 +337,7 @@ int main(int argc, char** argv) {
     const fuzz::OracleOutcome o =
         fuzz::EvaluateScenario(rep.scenario, opts.threads, rep.policies);
     PrintVerdicts(o);
-    return o.divergence == rep.divergence ? 0 : 1;
+    return o.divergence == rep.divergence && o.verdicts == rep.expected ? 0 : 1;
   }
   if (!shrink_path.empty()) {
     const auto evaluate = [&](const fuzz::Scenario& s) {
@@ -418,8 +415,8 @@ int main(int argc, char** argv) {
   }
 
   if (replay_mode) {
-    // Forensic replay of one run: same config, seed == run_id, recorder +
-    // tracer on. Deterministic, so this is the exact execution the campaign
+    // Forensic replay of one run: same config, seed == run_id, recorder
+    // on. Deterministic, so this is the exact execution the campaign
     // saw, and its dossier equals the one a campaign --dossier-dir writes.
     std::printf("replaying run %llu (%s, %s faults, %s) with full telemetry\n",
                 static_cast<unsigned long long>(replay_id),
@@ -584,16 +581,19 @@ int main(int argc, char** argv) {
                 written == 1 ? "" : "s", dossier_dir.c_str());
   }
 
-  // Replay the first run with tracing enabled for the trace/metrics
-  // artifacts: campaigns run many hypervisors in parallel, so per-run
-  // telemetry comes from a deterministic replay of seed0.
+  // Replay the first run for the per-run artifacts: campaigns run many
+  // hypervisors in parallel, so per-run telemetry comes from a
+  // deterministic replay of seed0. Only the trace and the profile read the
+  // flight recorder, so only they turn it on; recording is pure
+  // observation, so the other files are the same either way.
   if (!trace_out.empty() || !metrics_out.empty() || !audit_out.empty() ||
       !integrity_out.empty() || !profile_out.empty()) {
     core::RunConfig rcfg = cfg;
     rcfg.seed = opts.seed0;
     core::TargetSystem sys(rcfg);
-    sys.EnableTracing();
+    if (!trace_out.empty() || !profile_out.empty()) sys.EnableFlightRecorder();
     const core::RunResult replay = sys.Run();
+    const forensics::FlightRecorder& recorder = sys.hv().flight_recorder();
     if (!audit_out.empty()) {
       std::string json =
           "{\"campaign\":" + res.ToJson() +
@@ -624,9 +624,9 @@ int main(int argc, char** argv) {
       std::printf("integrity report written to %s\n", integrity_out.c_str());
     }
     if (!trace_out.empty()) {
-      if (!WriteFile(trace_out, sys.hv().tracer().ToChromeJson())) return 1;
-      std::printf("trace (%zu spans) written to %s\n",
-                  sys.hv().tracer().Snapshot().size(), trace_out.c_str());
+      if (!WriteFile(trace_out, recorder.ToChromeJson())) return 1;
+      std::printf("trace (%zu events) written to %s\n",
+                  recorder.Retained().size(), trace_out.c_str());
     }
     if (!metrics_out.empty()) {
       std::string json = "{\"campaign\":" + res.ToJson() +
@@ -637,7 +637,7 @@ int main(int argc, char** argv) {
     }
     if (!profile_out.empty()) {
       const std::string profile =
-          forensics::CollapsedStackProfile(sys.hv().tracer().Snapshot());
+          forensics::CollapsedStackProfile(recorder.Retained());
       if (!WriteFile(profile_out, profile)) return 1;
       std::printf("collapsed-stack profile written to %s\n",
                   profile_out.c_str());

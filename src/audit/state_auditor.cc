@@ -779,16 +779,19 @@ AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   AuditReport r;
   const sim::Time start = hv_.Now();
   sim::Time cursor = start;
-  sim::Tracer& tracer = hv_.tracer();
-  const std::uint32_t sweep_span =
-      tracer.Begin("audit:sweep", /*cpu=*/0, start);
+  forensics::FlightRecorder& recorder = hv_.flight_recorder();
+  const std::uint64_t sweep = recorder.OpenSpan();  // 0 when recording off
 
   const auto run_pass = [&](AuditSubsystem subsystem) {
     const sim::Duration before = r.modeled_cost;
     RunPass(subsystem, r, snapshot);
     const sim::Duration cost = r.modeled_cost - before;
-    tracer.Span(std::string("audit:") + integrity::SubsystemName(subsystem),
-                /*cpu=*/0, cursor, cursor + cost);
+    if (sweep != 0) {
+      recorder.Record({.at = cursor,
+                       .dur = cost,
+                       .kind = forensics::EventKind::kAuditPass,
+                       .detail = integrity::SubsystemName(subsystem)});
+    }
     cursor += cost;
   };
 
@@ -801,7 +804,10 @@ AuditReport StateAuditor::Run(const GoldenSnapshot* snapshot) {
   }
   if (snapshot != nullptr) run_pass(AuditSubsystem::kDiff);
 
-  tracer.End(sweep_span, start + r.modeled_cost);
+  recorder.CloseSpan(sweep, {.at = start,
+                            .dur = r.modeled_cost,
+                            .kind = forensics::EventKind::kAuditSweep,
+                            .detail = {}});
   return r;
 }
 

@@ -20,8 +20,9 @@
 // the platform is frozen for recovery.
 //
 // Audit cost is modeled, not free: each pass charges a per-entry cost into
-// AuditReport::modeled_cost and emits an "audit:<subsystem>" tracer span,
-// so campaigns can account audit overhead alongside recovery latency.
+// AuditReport::modeled_cost and records an audit_pass span inside the
+// sweep's audit_sweep span (flight recorder), so campaigns can account
+// audit overhead alongside recovery latency.
 #pragma once
 
 #include <vector>

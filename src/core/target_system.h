@@ -52,16 +52,10 @@ class TargetSystem {
   // Runs the configured scenario to its deadline and classifies the result.
   RunResult Run();
 
-  // Enables trace-span recording on the hypervisor (off by default; see
-  // sim/trace.h). Call before Run(); export with hv().tracer().ToChromeJson().
-  void EnableTracing(std::size_t capacity = 1 << 16) {
-    hv_->tracer().Enable(capacity);
-  }
-
-  // Enables the flight recorder (off by default; see
-  // forensics/flight_recorder.h). Call before Run(); export with
-  // hv().flight_recorder().ToJson(), or print the run's narrative with
-  // hv().flight_recorder().PinnedText().
+  // Enables the flight recorder, the run's one recording channel (off by
+  // default; see forensics/flight_recorder.h). Call before Run(); export
+  // with hv().flight_recorder().ToJson() or ToChromeJson(), or print the
+  // run's narrative with hv().flight_recorder().PinnedText().
   void EnableFlightRecorder() {
     hv_->flight_recorder().Enable(platform_->num_cpus());
   }

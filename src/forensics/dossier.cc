@@ -209,20 +209,19 @@ std::string MetricsJson(core::TargetSystem& sys, const core::RunResult& r) {
 
 ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg,
                           std::uint64_t run_id) {
-  constexpr std::size_t kTraceCapacity = 4096;  // span ring
   core::RunConfig cfg = base_cfg;
   cfg.seed = run_id;
   cfg.audit = true;  // so every dossier carries the audit findings
 
   core::TargetSystem sys(cfg);
-  sys.EnableTracing(kTraceCapacity);
   sys.EnableFlightRecorder();
 
   ReplayArtifacts art;
   art.result = sys.Run();
-  art.trace_json = sys.hv().tracer().ToChromeJson();
-  art.profile = CollapsedStackProfile(sys.hv().tracer().Snapshot());
-  art.narrative = sys.hv().flight_recorder().PinnedText();
+  const forensics::FlightRecorder& recorder = sys.hv().flight_recorder();
+  art.trace_json = recorder.ToChromeJson();
+  art.profile = CollapsedStackProfile(recorder.Retained());
+  art.narrative = recorder.PinnedText();
 
   std::string out = "{";
   out += "\"schema\":\"nlh-dossier-v1\"";
@@ -232,7 +231,7 @@ ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg,
   out += ",\"injection\":" + InjectionJson(art.result);
   out += ",\"detection\":" + DetectionJson(art.result);
   out += ",\"audit_findings\":" + art.result.audit_report.ToJson();
-  out += ",\"recorder\":" + sys.hv().flight_recorder().ToJson();
+  out += ",\"recorder\":" + recorder.ToJson();
   out += ",\"trace\":" + art.trace_json;
   out += "}";
   art.dossier_json = std::move(out);

@@ -1,18 +1,19 @@
 // Failure dossiers: one self-contained JSON bundle per interesting run,
 // assembled by deterministically *replaying* the run with full telemetry on.
 //
-// Campaigns run with the flight recorder and tracer off for speed;
-// when a run fails (or recovers with latent corruption) the campaign tool
-// re-executes that exact run — same RunConfig, seed == run_id — with the
-// recorder and tracer enabled. Determinism of the simulator guarantees the
-// replay reproduces the original byte-for-byte, so the dossier captures the
-// true failing execution, not a statistical cousin.
+// Campaigns run with the flight recorder off for speed; when a run fails
+// (or recovers with latent corruption) the campaign tool re-executes that
+// exact run — same RunConfig, seed == run_id — with the recorder enabled.
+// Determinism of the simulator guarantees the replay reproduces the
+// original byte-for-byte, so the dossier captures the true failing
+// execution, not a statistical cousin.
 //
 // A dossier bundles everything the paper's failure analysis (Section VII-A)
 // needs to attribute one run: the injection ground truth, the detection
 // event with a machine-state snapshot at detection time, the last-N flight
 // recorder events per CPU leading up to it, the end-of-run audit findings,
-// and the full trace-span timeline.
+// and the Chrome trace of every event the recorder kept (the pinned
+// injection, detection and recovery spans always among them).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,7 @@ std::string DetectionJson(const core::RunResult& r);  // "null" if undetected
 std::string MetricsJson(core::TargetSystem& sys, const core::RunResult& r);
 
 // Deterministically re-executes run `run_id` of `base_cfg` (seed := run_id)
-// with the flight recorder, tracer and state audit enabled and assembles
+// with the flight recorder and state audit enabled and assembles
 // the artifacts.
 ReplayArtifacts ReplayRun(const core::RunConfig& base_cfg, std::uint64_t run_id);
 

@@ -1,5 +1,6 @@
 #include "forensics/flight_recorder.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "sim/json.h"
@@ -8,8 +9,13 @@ namespace nlh::forensics {
 
 const char* EventKindName(EventKind k) {
   switch (k) {
-    case EventKind::kHypercallEnter: return "hypercall_enter";
-    case EventKind::kHypercallExit: return "hypercall_exit";
+    case EventKind::kHypercall: return "hypercall";
+    case EventKind::kSchedule: return "schedule";
+    case EventKind::kTimerSoftirq: return "timer_softirq";
+    case EventKind::kRecovery: return "recovery";
+    case EventKind::kRecoveryPhase: return "recovery_phase";
+    case EventKind::kAuditSweep: return "audit_sweep";
+    case EventKind::kAuditPass: return "audit_pass";
     case EventKind::kSyscallForward: return "syscall_forward";
     case EventKind::kVmExit: return "vm_exit";
     case EventKind::kIrqRaise: return "irq_raise";
@@ -19,7 +25,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kNmi: return "nmi";
     case EventKind::kApicFire: return "apic_fire";
     case EventKind::kTimerFire: return "timer_fire";
-    case EventKind::kSchedule: return "sched_decision";
     case EventKind::kSchedRepair: return "sched_repair";
     case EventKind::kLockAcquire: return "lock_acquire";
     case EventKind::kLockRelease: return "lock_release";
@@ -28,24 +33,34 @@ const char* EventKindName(EventKind k) {
     case EventKind::kInjectionFired: return "injection_fired";
     case EventKind::kCorruptionApplied: return "corruption_applied";
     case EventKind::kDetection: return "detection";
-    case EventKind::kRecoveryPhase: return "recovery_phase";
     case EventKind::kDeath: return "death";
     case EventKind::kDomainCreate: return "domain_create";
     case EventKind::kDomainDestroy: return "domain_destroy";
+    case EventKind::kIntegrityEpoch: return "integrity_epoch";
+    case EventKind::kIntegrityDrift: return "integrity_drift";
     case EventKind::kCount: break;
   }
   return "?";
 }
 
+bool IsSpanKind(EventKind k) { return k <= EventKind::kAuditPass; }
+
+std::string EventName(const FlightEvent& ev) {
+  std::string name = EventKindName(ev.kind);
+  if (!ev.detail.empty()) name += ":" + ev.detail;
+  return name;
+}
+
 bool FlightRecorder::IsPinnedKind(EventKind kind) {
   switch (kind) {
+    case EventKind::kRecovery:
+    case EventKind::kRecoveryPhase:
     case EventKind::kSchedRepair:
     case EventKind::kPanicRaised:
     case EventKind::kCpuHung:
     case EventKind::kInjectionFired:
     case EventKind::kCorruptionApplied:
     case EventKind::kDetection:
-    case EventKind::kRecoveryPhase:
     case EventKind::kDeath:
     case EventKind::kDomainCreate:
     case EventKind::kDomainDestroy:
@@ -63,6 +78,7 @@ void FlightRecorder::Enable(int num_cpus, std::size_t per_cpu_capacity) {
   pinned_dropped_ = 0;
   recorded_ = 0;
   seq_ = 0;
+  open_.clear();
   detection_snapshot_.clear();
   enabled_ = true;
 }
@@ -75,22 +91,44 @@ FlightRecorder::Ring& FlightRecorder::RingFor(int cpu) {
 void FlightRecorder::Record(EventKind kind, int cpu, std::uint64_t arg0,
                             std::uint64_t arg1, std::string detail) {
   if (!enabled_) return;
-  FlightEvent ev;
-  ev.seq = seq_++;
-  ev.at = clock_ ? clock_() : 0;
-  ev.kind = kind;
-  ev.cpu = cpu;
-  ev.arg0 = arg0;
-  ev.arg1 = arg1;
-  ev.detail = std::move(detail);
-  if (IsPinnedKind(kind)) {
+  Record({.at = clock_ ? clock_() : 0,
+          .kind = kind,
+          .cpu = cpu,
+          .arg0 = arg0,
+          .arg1 = arg1,
+          .detail = std::move(detail)});
+}
+
+void FlightRecorder::Record(FlightEvent ev) {
+  if (!enabled_) return;
+  ev.seq = ++seq_;
+  Commit(std::move(ev));
+}
+
+std::uint64_t FlightRecorder::OpenSpan() {
+  if (!enabled_) return 0;
+  open_.push_back(++seq_);
+  return open_.back();
+}
+
+void FlightRecorder::CloseSpan(std::uint64_t id, FlightEvent ev) {
+  if (!enabled_ || id == 0) return;
+  while (!open_.empty() && open_.back() != id) open_.pop_back();
+  if (!open_.empty()) open_.pop_back();
+  ev.seq = id;
+  Commit(std::move(ev));
+}
+
+void FlightRecorder::Commit(FlightEvent ev) {
+  ev.parent = open_.empty() ? 0 : open_.back();
+  if (IsPinnedKind(ev.kind)) {
     if (pinned_.size() < kPinnedCapacity) {
       pinned_.push_back(ev);
     } else {
       ++pinned_dropped_;
     }
   }
-  Ring& ring = RingFor(cpu);
+  Ring& ring = RingFor(ev.cpu);
   if (ring.slots.size() < capacity_) {
     ring.slots.push_back(std::move(ev));
   } else {
@@ -118,11 +156,27 @@ std::vector<FlightEvent> FlightRecorder::RingSnapshot(const Ring& ring) {
 }
 
 std::vector<FlightEvent> FlightRecorder::SnapshotCpu(int cpu) const {
-  if (rings_.empty()) return {};
-  if (cpu >= num_cpus_) return {};
-  const Ring& ring =
-      cpu < 0 ? rings_.back() : rings_[static_cast<std::size_t>(cpu)];
-  return RingSnapshot(ring);
+  if (rings_.empty() || cpu >= num_cpus_) return {};
+  return RingSnapshot(cpu < 0 ? rings_.back()
+                              : rings_[static_cast<std::size_t>(cpu)]);
+}
+
+std::vector<FlightEvent> FlightRecorder::Retained() const {
+  // A pinned event is in its ring too until the ring wraps past it.
+  std::vector<FlightEvent> out = pinned_;
+  for (const Ring& ring : rings_) {
+    for (FlightEvent& ev : RingSnapshot(ring)) out.push_back(std::move(ev));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const FlightEvent& a, const FlightEvent& b) {
+              return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+            });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const FlightEvent& a, const FlightEvent& b) {
+                          return a.seq == b.seq;
+                        }),
+            out.end());
+  return out;
 }
 
 std::uint64_t FlightRecorder::dropped() const {
@@ -142,9 +196,8 @@ std::string FlightRecorder::PinnedText() const {
                   sim::ToMillisF(ev.at), EventKindName(ev.kind), cpu.c_str());
     out += buf;
     out += ev.detail;
-    if (ev.kind == EventKind::kRecoveryPhase) {
-      std::snprintf(buf, sizeof(buf), " (%.3f ms)",
-                    sim::ToMillisF(static_cast<sim::Duration>(ev.arg1)));
+    if (IsSpanKind(ev.kind)) {
+      std::snprintf(buf, sizeof(buf), " (%.3f ms)", sim::ToMillisF(ev.dur));
       out += buf;
     }
     while (out.back() == ' ') out.pop_back();  // no detail: no padding
@@ -166,21 +219,21 @@ void AppendEventsJson(std::string& out, const std::vector<FlightEvent>& evs) {
     if (!first) out += ",";
     first = false;
     out += "{\"seq\":" + std::to_string(ev.seq) +
+           ",\"parent\":" + std::to_string(ev.parent) +
            ",\"t_ns\":" + std::to_string(ev.at) +
+           ",\"dur_ns\":" + std::to_string(ev.dur) +
            ",\"kind\":" + sim::JsonStr(EventKindName(ev.kind)) +
+           ",\"abandoned\":" + (ev.abandoned ? "true" : "false") +
            ",\"cpu\":" + std::to_string(ev.cpu) +
            ",\"arg0\":" + std::to_string(ev.arg0) +
            ",\"arg1\":" + std::to_string(ev.arg1) +
+           ",\"arg2\":" + std::to_string(ev.arg2) +
            ",\"detail\":" + sim::JsonStr(ev.detail) + "}";
   }
   out += "]";
 }
 
 }  // namespace
-
-void FlightRecorder::AppendRingJson(std::string& out, const Ring& ring) {
-  AppendEventsJson(out, RingSnapshot(ring));
-}
 
 std::string FlightRecorder::ToJson() const {
   std::string out = "{\"dropped\":" + std::to_string(dropped()) +
@@ -190,17 +243,35 @@ std::string FlightRecorder::ToJson() const {
   out += ",\"pinned\":";
   AppendEventsJson(out, pinned_);
   out += ",\"global\":";
-  if (rings_.empty()) {
-    out += "[]";
-  } else {
-    AppendRingJson(out, rings_.back());
-  }
+  AppendEventsJson(out, rings_.empty() ? std::vector<FlightEvent>{}
+                                       : RingSnapshot(rings_.back()));
   out += ",\"per_cpu\":[";
   for (int c = 0; c < num_cpus_; ++c) {
     if (c) out += ",";
-    AppendRingJson(out, rings_[static_cast<std::size_t>(c)]);
+    AppendEventsJson(out, RingSnapshot(rings_[static_cast<std::size_t>(c)]));
   }
   out += "]}";
+  return out;
+}
+
+std::string FlightRecorder::ToChromeJson() const {
+  std::string out = "{\"traceEvents\":[";
+  for (const FlightEvent& ev : Retained()) {
+    if (out.back() != '[') out += ",";
+    out += "{\"name\":" + sim::JsonStr(EventName(ev)) +
+           ",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":" +
+           sim::JsonNum(static_cast<double>(ev.at) / sim::kMicrosecond) +
+           ",\"dur\":" +
+           sim::JsonNum(static_cast<double>(ev.dur) / sim::kMicrosecond) +
+           ",\"pid\":1,\"tid\":" + std::to_string(ev.cpu) +
+           ",\"args\":{\"seq\":" + std::to_string(ev.seq) +
+           ",\"parent\":" + std::to_string(ev.parent) +
+           ",\"abandoned\":" + (ev.abandoned ? "true" : "false") +
+           ",\"arg0\":" + std::to_string(ev.arg0) +
+           ",\"arg1\":" + std::to_string(ev.arg1) +
+           ",\"arg2\":" + std::to_string(ev.arg2) + "}}";
+  }
+  out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
 

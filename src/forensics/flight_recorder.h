@@ -2,10 +2,15 @@
 // simulated-time-stamped events — the "black box" a FailureDossier reads
 // out after a failed run (ReHype's failure-class analysis reconstructs the
 // event sequence leading to the crash; this records it as it happens).
+// It is a run's only recording channel: spans (hypercalls, schedules,
+// recoveries and their phases, audit sweeps) are events too, and the
+// Chrome trace, the collapsed-stack profile and the narrative are all
+// printed from what it holds.
 //
-// Recording sites are woven through hw/, hv/, inject/, detect/ and
-// recovery/ behind the NLH_RECORD(...) macro (forensics/record.h). The
-// recorder stamps simulated time itself via an injected clock callback, so
+// Recording sites are woven through hw/, hv/, inject/, detect/, audit/,
+// integrity/ and recovery/ behind the NLH_RECORD(...) macro
+// (forensics/record.h) or the span calls below. The recorder stamps an
+// instant's simulated time itself via an injected clock callback, so
 // call-sites never need a time source.
 //
 // Hardware-layer components (SpinLock, ApicTimer, InterruptController)
@@ -26,11 +31,21 @@
 
 namespace nlh::forensics {
 
-// Event taxonomy. Slugs (EventKindName) are stable identifiers used in
-// dossier JSON; extend at the end, never renumber.
+// Event taxonomy. Dossiers carry the slug (EventKindName), never the
+// number, so kinds may be reordered, merged or deleted; a slug that was
+// written keeps its meaning.
 enum class EventKind : std::uint8_t {
-  kHypercallEnter = 0,
-  kHypercallExit,
+  // Spans: one event each, recorded when the span closes (see FlightEvent).
+  // They come first: IsSpanKind() tests k <= kAuditPass.
+  kHypercall = 0,  // one hypercall (arg0=code, arg1=vCPU, arg2=return value
+                   // unless abandoned; detail=name)
+  kSchedule,       // one schedule() (arg0=prev+1, arg1=next+1; 0=none)
+  kTimerSoftirq,   // one timer softirq
+  kRecovery,       // one recovery, detection to resume (detail=mechanism)
+  kRecoveryPhase,  // one recovery step (detail=phase slug)
+  kAuditSweep,     // one full state-audit sweep
+  kAuditPass,      // one subsystem's audit pass (detail=subsystem slug)
+  // Instants.
   kSyscallForward,
   kVmExit,
   kIrqRaise,       // vector became pending (IRR set)
@@ -40,7 +55,6 @@ enum class EventKind : std::uint8_t {
   kNmi,            // watchdog NMI sampled a CPU (arg0=count, arg1=misses)
   kApicFire,       // one-shot APIC timer expired
   kTimerFire,      // software timer popped from the heap
-  kSchedule,       // scheduling decision (arg0=prev+1, arg1=next+1; 0=none)
   kSchedRepair,    // scheduler-metadata repair pass (arg0=fixes)
   kLockAcquire,
   kLockRelease,
@@ -49,47 +63,76 @@ enum class EventKind : std::uint8_t {
   kInjectionFired,     // ground truth: the injected fault fired
   kCorruptionApplied,  // ground truth: one corruption action (arg0=target)
   kDetection,      // a detector reported an error (arg0=kind, arg1=code)
-  kRecoveryPhase,  // one recovery step completed (arg0=phase, arg1=ns)
   kDeath,          // platform marked dead (arg0=FailureReason)
   kDomainCreate,
   kDomainDestroy,
+  kIntegrityEpoch,  // one integrity-ladder epoch (arg0=epoch)
+  kIntegrityDrift,  // unexplained drift (arg0=epoch, arg1=surface,
+                    // detail=surface slug)
   kCount,
 };
 
 const char* EventKindName(EventKind k);
+bool IsSpanKind(EventKind k);
 
+// One recorded fact. A span is one event too: `at` is its start, `dur` its
+// simulated length, and `parent` links it to the span that encloses it, so
+// a profile can rebuild its frame path.
 struct FlightEvent {
-  std::uint64_t seq = 0;   // global record order (monotonic across CPUs)
-  sim::Time at = 0;        // simulated time
+  std::uint64_t seq = 0;     // order events began, from 1 (a span takes its
+                             // seq when it opens: the seq is its id)
+  std::uint64_t parent = 0;  // seq of the innermost open span; 0 = none
+  sim::Time at = 0;          // simulated time (a span's start)
+  sim::Duration dur = 0;     // a span's simulated length; 0 for an instant
   EventKind kind = EventKind::kCount;
-  int cpu = -1;            // -1 = not CPU-local (global ring)
+  bool abandoned = false;    // a fault unwound the span before it finished
+  int cpu = -1;              // -1 = not CPU-local (global ring)
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
+  std::uint64_t arg2 = 0;
   std::string detail;
 };
 
+// "kind" or "kind:detail": an event's name in the Chrome trace and the
+// profile's frames.
+std::string EventName(const FlightEvent& ev);
+
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 256;
+  static constexpr std::size_t kDefaultCapacity = 512;
 
   // Allocates one ring per CPU plus one "global" ring for events that are
   // not CPU-local (cpu = -1). Re-enabling clears all rings.
   void Enable(int num_cpus, std::size_t per_cpu_capacity = kDefaultCapacity);
-  void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   // Injected simulated-time source (the owning hypervisor's Now()).
   void SetClock(std::function<sim::Time()> clock) { clock_ = std::move(clock); }
 
+  // An instant, stamped with the clock.
   void Record(EventKind kind, int cpu, std::uint64_t arg0 = 0,
               std::uint64_t arg1 = 0, std::string detail = {});
+  // `ev` as given (its kind, cpu, time, length and arguments): an instant,
+  // or a complete span whose length is known up front (a modeled latency).
+  // Either way it sits inside the innermost open span.
+  void Record(FlightEvent ev);
+
+  // Spans whose length is known when they close. OpenSpan() opens one
+  // inside the innermost open span and returns its id (0 when disabled);
+  // CloseSpan() records it once, as `ev`, and closes any span left open
+  // inside it unrecorded.
+  std::uint64_t OpenSpan();
+  void CloseSpan(std::uint64_t id, FlightEvent ev);
 
   // Ring contents oldest-first. cpu = -1 returns the global ring; an
   // out-of-range cpu returns empty.
   std::vector<FlightEvent> SnapshotCpu(int cpu) const;
+  // Every event still held, once: the pinned channel plus what the rings
+  // keep, ordered by (at, seq). The Chrome trace and the profile read this.
+  std::vector<FlightEvent> Retained() const;
 
-  // Rare, high-value events (injection ground truth, detections, recovery
-  // steps, panics, domain lifecycle, death) are additionally copied to this
+  // Rare, high-value events (injection ground truth, detections, recoveries
+  // and their steps, panics, domain lifecycle, death) are also copied to this
   // pinned channel, which never wraps: hours of hot-path chatter cannot
   // displace the handful of events a dossier is actually about. Bounded by
   // kPinnedCapacity (overflow counted in pinned_dropped()).
@@ -99,10 +142,9 @@ class FlightRecorder {
   std::uint64_t pinned_dropped() const { return pinned_dropped_; }
   // The run's narrative: one line per pinned event in record order —
   // simulated time, kind slug, cpu and detail (plus the modeled latency of
-  // a recovery_phase). Empty when nothing was pinned.
+  // a span). Empty when nothing was pinned.
   std::string PinnedText() const;
 
-  int num_cpus() const { return num_cpus_; }
   std::uint64_t recorded() const { return recorded_; }
   // Events lost to ring overwrite, across all rings.
   std::uint64_t dropped() const;
@@ -121,6 +163,11 @@ class FlightRecorder {
   //  "detail":".."}. All-integer timestamps keep the output byte-stable.
   std::string ToJson() const;
 
+  // Chrome trace_event JSON of Retained(): {"traceEvents":[{"ph":"X",...}]},
+  // ts/dur in microseconds of simulated time, tid = cpu, args = seq, parent
+  // and the arguments. An instant is a zero-length event.
+  std::string ToChromeJson() const;
+
  private:
   struct Ring {
     std::vector<FlightEvent> slots;  // filled up to capacity, then wraps
@@ -129,7 +176,7 @@ class FlightRecorder {
   };
 
   Ring& RingFor(int cpu);
-  static void AppendRingJson(std::string& out, const Ring& ring);
+  void Commit(FlightEvent ev);
   static std::vector<FlightEvent> RingSnapshot(const Ring& ring);
 
   bool enabled_ = false;
@@ -140,6 +187,7 @@ class FlightRecorder {
   std::uint64_t pinned_dropped_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t seq_ = 0;
+  std::vector<std::uint64_t> open_;  // ids of the open spans, innermost last
   std::function<sim::Time()> clock_;
   std::string detection_snapshot_;
 };

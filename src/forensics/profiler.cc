@@ -19,44 +19,44 @@ std::string SanitizeFrame(const std::string& name) {
 
 }  // namespace
 
-std::string CollapsedStackProfile(const std::vector<sim::TraceEvent>& spans) {
-  // Index spans by id for parent-chain walks, and accumulate each span's
-  // child coverage so self time = duration - children. Trace rings can
-  // drop parents (overwritten spans); a child whose parent is missing is
+std::string CollapsedStackProfile(const std::vector<FlightEvent>& events) {
+  // Index events by seq for parent-chain walks, and accumulate each span's
+  // child coverage so self time = duration - children. Rings can drop
+  // parents (overwritten events); a child whose parent is missing is
   // treated as a root, and its time still counts toward its own frame.
-  std::unordered_map<std::uint32_t, const sim::TraceEvent*> by_id;
-  by_id.reserve(spans.size());
-  for (const sim::TraceEvent& ev : spans) by_id[ev.id] = &ev;
+  std::unordered_map<std::uint64_t, const FlightEvent*> by_seq;
+  by_seq.reserve(events.size());
+  for (const FlightEvent& ev : events) by_seq[ev.seq] = &ev;
 
-  std::unordered_map<std::uint32_t, std::int64_t> child_time;
-  for (const sim::TraceEvent& ev : spans) {
-    if (ev.parent != 0 && by_id.count(ev.parent) != 0) {
-      child_time[ev.parent] += ev.end - ev.start;
+  std::unordered_map<std::uint64_t, std::int64_t> child_time;
+  for (const FlightEvent& ev : events) {
+    if (ev.parent != 0 && by_seq.count(ev.parent) != 0) {
+      child_time[ev.parent] += ev.dur;
     }
   }
 
   std::map<std::string, std::uint64_t> weights;  // path -> self ns
-  for (const sim::TraceEvent& ev : spans) {
-    std::int64_t self = (ev.end - ev.start);
-    auto it = child_time.find(ev.id);
+  for (const FlightEvent& ev : events) {
+    std::int64_t self = ev.dur;
+    auto it = child_time.find(ev.seq);
     if (it != child_time.end()) self -= it->second;
-    if (self <= 0) continue;  // fully covered by children (or zero-width)
+    if (self <= 0) continue;  // fully covered by children (or an instant)
 
-    // Build root;...;self by walking the parent chain (bounded: a cycle
-    // could only arise from id reuse after ring wrap).
-    std::vector<const sim::TraceEvent*> chain{&ev};
-    const sim::TraceEvent* cur = &ev;
+    // Build root;...;self by walking the parent chain (bounded, in case of
+    // a malformed input whose links form a cycle).
+    std::vector<const FlightEvent*> chain{&ev};
+    const FlightEvent* cur = &ev;
     for (int depth = 0; depth < 64; ++depth) {
       if (cur->parent == 0) break;
-      auto pit = by_id.find(cur->parent);
-      if (pit == by_id.end()) break;
+      auto pit = by_seq.find(cur->parent);
+      if (pit == by_seq.end()) break;
       cur = pit->second;
       chain.push_back(cur);
     }
     std::string path;
     for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
       if (!path.empty()) path += ";";
-      path += SanitizeFrame((*rit)->name);
+      path += SanitizeFrame(EventName(**rit));
     }
     weights[path] += static_cast<std::uint64_t>(self);
   }

@@ -99,16 +99,14 @@ bool LoadReproducer(const std::string& path, LoadedReproducer* out,
     return fail("malformed expected verdicts: " + path);
   }
   for (const sim::JsonValue& v : expected->items) {
-    // Recover the policy from the verdict's mechanism display name so the
-    // replay runs the exact list the bundle was shrunk against.
-    const sim::JsonValue* mech = v.Find("mechanism");
-    const core::MechanismInfo* known = nullptr;
-    for (const core::MechanismInfo& e : core::kMechanisms) {
-      if (mech != nullptr && mech->str == e.name) known = &e;
+    // The verdict's mechanism is the policy the replay runs, so the replay
+    // judges the exact list the bundle was shrunk against.
+    PolicyVerdict verdict;
+    if (!PolicyVerdict::FromJson(v, &verdict)) {
+      return fail("malformed expected verdict: " + path);
     }
-    if (known == nullptr) return fail("unknown verdict mechanism: " + path);
-    rep.policies.push_back(known->mechanism);
-    rep.expected_verdicts.push_back(sim::WriteJson(v));
+    rep.policies.push_back(verdict.mechanism);
+    rep.expected.push_back(std::move(verdict));
   }
   *out = std::move(rep);
   return true;

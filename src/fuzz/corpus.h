@@ -1,10 +1,10 @@
 // Reproducer bundles and corpus management. A reproducer ("nlh-repro-v1")
 // records a shrunk scenario together with the divergence that flagged it
 // and the full per-policy verdicts; the corpus regression runner replays
-// the scenario and asserts the recomputed verdicts byte-for-byte. Each
-// bundle also embeds an nlh-dossier-v1-compatible replay section (the same
-// config/result/injection/detection JSON the forensics dossiers use) so
-// existing dossier tooling can read fuzz reproducers directly.
+// the scenario and asserts the recomputed verdicts equal the recorded
+// ones. Each bundle also embeds an nlh-dossier-v1-compatible replay section
+// (the same config/result/injection/detection JSON the forensics dossiers
+// use) so existing dossier tooling can read fuzz reproducers directly.
 #pragma once
 
 #include <string>
@@ -37,12 +37,13 @@ struct LoadedReproducer {
   // per-verdict mechanism names (committed bundles carry the historical
   // triple; newer ones may record more variants).
   std::vector<core::Mechanism> policies;
-  // Expected verdict JSON per policy, canonicalized via sim::WriteJson.
-  std::vector<std::string> expected_verdicts;
+  // The expected verdict per policy, parsed by PolicyVerdict::FromJson.
+  std::vector<PolicyVerdict> expected;
 };
 
 // Reads and validates one reproducer file. Returns false (with a message in
-// *error) on unreadable files, schema mismatches, or malformed scenarios.
+// *error naming the file) on unreadable files, schema mismatches, malformed
+// scenarios, or expected verdicts PolicyVerdict::FromJson rejects.
 bool LoadReproducer(const std::string& path, LoadedReproducer* out,
                     std::string* error);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "hv/failure.h"
+#include "integrity/surface.h"
 
 namespace nlh::fuzz {
 
@@ -150,6 +151,98 @@ std::string PolicyVerdict::ToJson() const {
   }
   out += "}";
   return out;
+}
+
+namespace {
+
+// A flag, which ToJson writes as 0 or 1.
+bool GetFlag(const sim::JsonValue& obj, const char* key, bool* out) {
+  std::int64_t n = 0;
+  if (!GetI64(obj, key, &n)) return false;
+  *out = n != 0;
+  return true;
+}
+
+bool GetStrArray(const sim::JsonValue& obj, const char* key,
+                 std::vector<std::string>* out) {
+  const sim::JsonValue* v = obj.Find(key);
+  if (v == nullptr || !v->IsArray()) return false;
+  for (const sim::JsonValue& item : v->items) {
+    if (item.type != sim::JsonValue::Type::kString) return false;
+    out->push_back(item.str);
+  }
+  return true;
+}
+
+// An integrity::SubsystemName slug among the first `n` subsystems.
+bool KnownSubsystem(const std::string& slug, int n) {
+  for (int i = 0; i < n; ++i) {
+    if (slug == integrity::SubsystemName(static_cast<integrity::Subsystem>(i)))
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool PolicyVerdict::FromJson(const sim::JsonValue& v, PolicyVerdict* out) {
+  PolicyVerdict p;
+  std::string mechanism, outcome, failure_reason, trail;
+  if (!GetStr(v, "mechanism", &mechanism) || !GetStr(v, "outcome", &outcome) ||
+      !GetFlag(v, "detected", &p.detected) ||
+      !GetCount(v, "recoveries", &p.recoveries) ||
+      !GetFlag(v, "success", &p.success) ||
+      !GetFlag(v, "no_vm_failures", &p.no_vm_failures) ||
+      !GetStr(v, "failure_reason", &failure_reason) ||
+      !GetFlag(v, "system_dead", &p.system_dead) ||
+      !GetFlag(v, "vm3_attempted", &p.vm3_attempted) ||
+      !GetFlag(v, "vm3_ok", &p.vm3_ok) ||
+      !GetCount(v, "affected_vms", &p.affected_vms) ||
+      !GetFlag(v, "audit_clean", &p.audit_clean) ||
+      !GetFlag(v, "latent_corruption", &p.latent_corruption) ||
+      !GetStrArray(v, "latent_findings", &p.latent_findings) ||
+      !GetStrArray(v, "latent_subsystems", &p.latent_subsystems) ||
+      !GetI64(v, "detection_latency_ns", &p.detection_latency_ns) ||
+      !GetI64(v, "first_recovery_latency_ns", &p.first_recovery_latency_ns)) {
+    return false;
+  }
+  if (v.Find("integrity") != nullptr &&
+      (!GetFlag(v, "integrity", &p.integrity) ||
+       !GetI64(v, "integrity_drifts", &p.integrity_drifts) ||
+       !GetI64(v, "first_drift_epoch", &p.first_drift_epoch) ||
+       !GetStr(v, "first_drift_surface", &p.first_drift_surface) ||
+       !GetStr(v, "drift_trail", &trail) ||
+       !ParseHexU64(trail, &p.drift_trail) ||
+       !GetI64(v, "drift_latency_ns", &p.drift_latency_ns))) {
+    return false;
+  }
+  for (const core::MechanismInfo& e : core::kMechanisms) {
+    if (mechanism == e.name) p.mechanism = e.mechanism;
+  }
+  for (const core::OutcomeClass c :
+       {core::OutcomeClass::kNonManifested, core::OutcomeClass::kSdc,
+        core::OutcomeClass::kDetected}) {
+    if (outcome == core::OutcomeClassName(c)) p.outcome = c;
+  }
+  p.failure_reason = hv::FailureReasonFromName(failure_reason);
+  const int subsystems = static_cast<int>(integrity::Subsystem::kIoRing) + 1;
+  for (const std::string& slug : p.latent_subsystems) {
+    if (!KnownSubsystem(slug, subsystems)) return false;
+  }
+  if (!p.first_drift_surface.empty() &&
+      !KnownSubsystem(p.first_drift_surface, integrity::kNumSurfaces)) {
+    return false;
+  }
+  // What was read must print back as the same document. That rejects an
+  // unknown mechanism, outcome or failure reason, a flag other than 0/1,
+  // any other key, and integrity keys ToJson would not write.
+  sim::JsonValue back;
+  if (!sim::ParseJson(p.ToJson(), &back) ||
+      sim::WriteJson(back) != sim::WriteJson(v)) {
+    return false;
+  }
+  *out = std::move(p);
+  return true;
 }
 
 std::vector<core::Mechanism> DefaultPolicies() {

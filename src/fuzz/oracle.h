@@ -88,6 +88,11 @@ struct PolicyVerdict {
   std::int64_t drift_latency_ns = -1;           // injection->first drift
 
   std::string ToJson() const;
+  // Strict inverse of ToJson: every key ToJson writes, with its JSON type
+  // (flags as 0 or 1), known slugs, no other key, and the integrity keys
+  // present exactly when "integrity" is 1. Returns false otherwise.
+  static bool FromJson(const sim::JsonValue& v, PolicyVerdict* out);
+  bool operator==(const PolicyVerdict&) const = default;
 };
 
 PolicyVerdict MakeVerdict(core::Mechanism mechanism, const core::RunResult& r);

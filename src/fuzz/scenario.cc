@@ -53,6 +53,8 @@ bool TriggerFromName(const std::string& name, inject::TriggerKind* out) {
   return false;
 }
 
+}  // namespace
+
 // Typed field extraction; every getter fails loudly so corpus files with
 // drifted schemas are rejected instead of half-parsed. A number must be an
 // integer that fits its field: casting 1e20 to an integer is undefined, and
@@ -94,8 +96,6 @@ bool GetStr(const sim::JsonValue& obj, const char* key, std::string* out) {
   *out = v->str;
   return true;
 }
-
-}  // namespace
 
 std::string HexU64(std::uint64_t v) {
   char buf[32];

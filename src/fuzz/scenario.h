@@ -103,4 +103,12 @@ struct Scenario {
 std::string HexU64(std::uint64_t v);
 bool ParseHexU64(const std::string& s, std::uint64_t* out);
 
+// Typed readers of one member of a bundle's JSON object. Each returns false
+// when the key is missing or holds another JSON type; a number must be an
+// integer that fits (GetCount: in [0, INT_MAX]).
+bool GetI64(const sim::JsonValue& obj, const char* key, std::int64_t* out);
+bool GetCount(const sim::JsonValue& obj, const char* key, int* out);
+bool GetBool(const sim::JsonValue& obj, const char* key, bool* out);
+bool GetStr(const sim::JsonValue& obj, const char* key, std::string* out);
+
 }  // namespace nlh::fuzz

@@ -1,6 +1,7 @@
 #include "hv/hypervisor.h"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "forensics/record.h"
@@ -67,37 +68,71 @@ std::string DetectionSnapshotJson(Hypervisor& hv, const DetectionEvent& ev) {
 
 }  // namespace
 
-// Traces a scope whose simulated duration is the instruction cost an
-// OpContext accumulates while the span is open (simulated time itself does
-// not advance inside a slice). No-op when tracing is disabled.
+// Records a hypervisor entry (hypercall, schedule, timer softirq) as one
+// flight-recorder span when it closes, including when a fault unwinds it
+// (the span is then marked abandoned). Its simulated duration is the
+// instruction cost the OpContext accumulates while it is open (simulated
+// time itself does not advance inside a slice). With recording off it
+// costs the one enabled test in the constructor.
 class CtxSpan {
  public:
-  // The name was interned once at Hypervisor construction, so this costs
-  // one branch when tracing is disabled.
-  CtxSpan(Hypervisor& hv, const OpContext& ctx, sim::NameId name,
+  CtxSpan(Hypervisor& hv, const OpContext& ctx, forensics::EventKind kind,
           hw::CpuId cpu)
       : hv_(hv), ctx_(ctx) {
-    if (hv.tracer().enabled()) {
-      start_ = hv.Now();
-      instr0_ = ctx.instructions();
-      id_ = hv.tracer().Begin(name, cpu, start_);
-    }
+    if (hv.flight_recorder().enabled()) Open(kind, cpu);
   }
   CtxSpan(const CtxSpan&) = delete;
   CtxSpan& operator=(const CtxSpan&) = delete;
   ~CtxSpan() {
-    if (id_ != 0) {
-      hv_.tracer().End(id_, start_ + hv_.platform().DurationForInstructions(
-                                         ctx_.instructions() - instr0_));
-    }
+    if (id_ != 0) Close();
+  }
+
+  // The span's arguments (see forensics::EventKind), kept when it closes.
+  void SetArgs(std::uint64_t arg0, std::uint64_t arg1,
+               std::uint64_t arg2 = 0) {
+    arg0_ = arg0;
+    arg1_ = arg1;
+    arg2_ = arg2;
   }
 
  private:
+  // Out of line, so the recording-off path inlines to one test each way.
+  [[gnu::noinline]] void Open(forensics::EventKind kind, hw::CpuId cpu) {
+    id_ = hv_.flight_recorder().OpenSpan();
+    kind_ = kind;
+    cpu_ = cpu;
+    unwinding_ = std::uncaught_exceptions();
+    start_ = hv_.Now();
+    instr0_ = ctx_.instructions();
+  }
+  [[gnu::noinline]] void Close() {
+    const std::uint64_t instructions = ctx_.instructions() - instr0_;
+    const bool hypercall = kind_ == forensics::EventKind::kHypercall;
+    hv_.flight_recorder().CloseSpan(
+        id_, {.at = start_,
+              .dur = hv_.platform().DurationForInstructions(instructions),
+              .kind = kind_,
+              .abandoned = std::uncaught_exceptions() > unwinding_,
+              .cpu = cpu_,
+              .arg0 = arg0_,
+              .arg1 = arg1_,
+              .arg2 = arg2_,
+              .detail = hypercall ? std::string(HypercallName(
+                                        static_cast<HypercallCode>(arg0_)))
+                                  : std::string()});
+  }
+
   Hypervisor& hv_;
   const OpContext& ctx_;
+  std::uint64_t id_ = 0;  // 0: recording was off when the span opened
+  forensics::EventKind kind_ = forensics::EventKind::kCount;
+  hw::CpuId cpu_ = 0;
+  int unwinding_ = 0;  // std::uncaught_exceptions() when the span opened
   sim::Time start_ = 0;
   std::uint64_t instr0_ = 0;
-  std::uint32_t id_ = 0;
+  std::uint64_t arg0_ = 0;
+  std::uint64_t arg1_ = 0;
+  std::uint64_t arg2_ = 0;
 };
 
 Hypervisor::Hypervisor(hw::Platform& platform, const HvConfig& config)
@@ -105,13 +140,6 @@ Hypervisor::Hypervisor(hw::Platform& platform, const HvConfig& config)
       config_(config),
       frames_(kFrameTableFrames),
       heap_(frames_) {
-  for (int c = 0; c < kNumHypercalls; ++c) {
-    span_hypercall_[static_cast<std::size_t>(c)] = tracer_.InternName(
-        "hypercall:" +
-        std::string(HypercallName(static_cast<HypercallCode>(c))));
-  }
-  span_schedule_ = tracer_.InternName("schedule");
-  span_timer_softirq_ = tracer_.InternName("timer_softirq");
   recorder_.SetClock([this] { return Now(); });
   frames_.SetLedger(&ledger_);
   heap_.SetLedger(&ledger_);
@@ -316,7 +344,6 @@ void Hypervisor::RearmVcpuTimers() {
 }
 
 int Hypervisor::ReactivateRecurringEvents() {
-  tracer_.Instant("hv.reactivate_recurring_events", 0, Now());
   int missing = 0;
   for (int c = 0; c < platform_.num_cpus(); ++c) {
     EnsureRecurring(c, "watchdog_tick", kWatchdogTickPeriod,
@@ -530,7 +557,7 @@ sim::Duration Hypervisor::HandleOneInterrupt(hw::CpuId cpu) {
 }
 
 void Hypervisor::TimerSoftirq(OpContext& ctx, hw::CpuId cpu) {
-  CtxSpan span(*this, ctx, span_timer_softirq_, cpu);
+  CtxSpan span(*this, ctx, forensics::EventKind::kTimerSoftirq, cpu);
   ++stats_.timer_softirqs;
   if (op_observer_) {
     op_observer_(OpEventKind::kTimerSoftirq, HypercallCode::kXenVersion, cpu);
@@ -582,7 +609,7 @@ void Hypervisor::DeliverVirqTimer(VcpuId v) {
 // ---------------------------------------------------------------------------
 
 VcpuId Hypervisor::Schedule(OpContext& ctx, hw::CpuId cpu) {
-  CtxSpan span(*this, ctx, span_schedule_, cpu);
+  CtxSpan span(*this, ctx, forensics::EventKind::kSchedule, cpu);
   PerCpuData& pc = percpu_[static_cast<std::size_t>(cpu)];
   HvAssert(pc.local_irq_count == 0, "ASSERT !in_irq() in schedule()");
   statics_.Use(StaticVar::kSchedOpsPtr);
@@ -593,6 +620,9 @@ VcpuId Hypervisor::Schedule(OpContext& ctx, hw::CpuId cpu) {
   ctx.Step(cost::kSchedule, "schedule");
 
   const VcpuId prev = pc.curr;
+  // +1 so vCPU 0 is distinguishable from "none" in the unsigned args.
+  const auto plus1 = [](VcpuId v) { return static_cast<std::uint64_t>(v + 1); };
+  span.SetArgs(plus1(prev), 0);
   if (prev != kInvalidVcpu) {
     Vcpu& pv = vcpu(prev);
     HvAssert(!pv.struct_corrupted, "corrupted vcpu struct in scheduler");
@@ -601,6 +631,7 @@ VcpuId Hypervisor::Schedule(OpContext& ctx, hw::CpuId cpu) {
     if (pv.state == VcpuState::kRunning) {
       if (pc.rq_head == kInvalidVcpu) {
         ctx.Unlock(pc.sched_lock);
+        span.SetArgs(plus1(prev), plus1(prev));
         return prev;  // fast path: keep running
       }
       pv.state = VcpuState::kRunnable;
@@ -636,10 +667,7 @@ VcpuId Hypervisor::Schedule(OpContext& ctx, hw::CpuId cpu) {
   nv.is_current = true;
   NLH_INTEGRITY_NOTE(&ledger_, integrity::Surface::kScheduler);
   ctx.Unlock(pc.sched_lock);
-  // +1 so vCPU 0 is distinguishable from "none" in the unsigned args.
-  NLH_RECORD(forensics::EventKind::kSchedule, cpu,
-             static_cast<std::uint64_t>(prev + 1),
-             static_cast<std::uint64_t>(next + 1));
+  span.SetArgs(plus1(prev), plus1(next));
   return next;
 }
 
@@ -715,22 +743,16 @@ std::uint64_t Hypervisor::Hypercall(VcpuId v, HypercallCode code,
 
   OpContext ctx(platform_, c, config_.runtime, HvContextKind::kHypercall, &vc,
                 &vc.inflight.undo);
-  CtxSpan span(*this, ctx,
-               span_hypercall_[static_cast<std::size_t>(code) < span_hypercall_.size()
-                                   ? static_cast<std::size_t>(code)
-                                   : 0],
-               cpu);
-  NLH_RECORD(forensics::EventKind::kHypercallEnter, cpu,
-             static_cast<std::uint64_t>(code), static_cast<std::uint64_t>(v),
-             std::string(HypercallName(code)));
+  CtxSpan span(*this, ctx, forensics::EventKind::kHypercall, cpu);
+  span.SetArgs(static_cast<std::uint64_t>(code), static_cast<std::uint64_t>(v));
   if (op_observer_) op_observer_(OpEventKind::kHypercall, code, cpu);
   ctx.Step(cost::kHypercallEntry, "hypercall-entry");
   const std::uint64_t ret = Dispatch(ctx, vc, code, args);
   vc.inflight.undo.Clear();
   vc.inflight.active = false;  // commit point
   ctx.Step(cost::kHypercallExit, "hypercall-exit");
-  NLH_RECORD(forensics::EventKind::kHypercallExit, cpu,
-             static_cast<std::uint64_t>(code), ret);
+  span.SetArgs(static_cast<std::uint64_t>(code), static_cast<std::uint64_t>(v),
+               ret);
   ChargeSlice(cpu, ctx.instructions());
   return ret;
 }
@@ -854,8 +876,6 @@ void Hypervisor::ExecuteRetry(hw::CpuId cpu, Vcpu& vc) {
 void Hypervisor::ReportError(DetectionEvent event) {
   ++stats_.detections;
   if (event.when == 0) event.when = Now();
-  tracer_.Instant(std::string("detect:") + DetectionKindName(event.kind),
-                  event.cpu, event.when);
   if (stats_.detections == 1) first_detection_ = event;
   NLH_RECORD(forensics::EventKind::kDetection, event.cpu,
              static_cast<std::uint64_t>(event.kind),
@@ -911,7 +931,6 @@ void Hypervisor::OnNmi(hw::CpuId cpu) {
 
 void Hypervisor::FreezeForRecovery(hw::CpuId detector) {
   ++stats_.recoveries;
-  tracer_.Instant("hv.freeze_for_recovery", detector, Now());
   frozen_ = true;
   for (int c = 0; c < platform_.num_cpus(); ++c) {
     hw::Cpu& cp = platform_.cpu(c);
@@ -927,7 +946,6 @@ void Hypervisor::FreezeForRecovery(hw::CpuId detector) {
 }
 
 void Hypervisor::DiscardAllHvStacks() {
-  tracer_.Instant("hv.discard_all_hv_stacks", 0, Now());
   for (int c = 0; c < platform_.num_cpus(); ++c) {
     hw::Cpu& cp = platform_.cpu(c);
     cp.hv_stack().Reset();
@@ -936,7 +954,6 @@ void Hypervisor::DiscardAllHvStacks() {
 }
 
 void Hypervisor::AckAllInterrupts() {
-  tracer_.Instant("hv.ack_all_interrupts", 0, Now());
   for (int c = 0; c < platform_.num_cpus(); ++c) {
     NLH_RECORD(forensics::EventKind::kIrqAck, c);
     platform_.intc().AckAll(c);
@@ -946,7 +963,6 @@ void Hypervisor::AckAllInterrupts() {
 void Hypervisor::ResumeAfterRecovery(sim::Time resume_at, bool reprogram_apics) {
   platform_.queue().ScheduleAt(resume_at, [this, reprogram_apics] {
     if (dead_) return;
-    tracer_.Instant("hv.resume_after_recovery", 0, Now());
     frozen_ = false;
     try {
       for (int c = 0; c < platform_.num_cpus(); ++c) {

@@ -37,7 +37,6 @@
 #include "hw/platform.h"
 #include "forensics/flight_recorder.h"
 #include "integrity/mutation_ledger.h"
-#include "sim/trace.h"
 
 namespace nlh::hv {
 
@@ -214,8 +213,7 @@ class Hypervisor {
   Domain* FindDomain(DomainId id) { return domains_.Find(id); }
   TimerHeap& timers(hw::CpuId c) { return *timers_[static_cast<std::size_t>(c)]; }
   const HvStats& stats() const { return stats_; }
-  // Observability: span tracer + flight recorder for this host.
-  sim::Tracer& tracer() { return tracer_; }
+  // Observability: this host's flight recorder, its one recording channel.
   forensics::FlightRecorder& flight_recorder() { return recorder_; }
   const forensics::FlightRecorder& flight_recorder() const { return recorder_; }
   // First DetectionEvent this host ever reported (survives recovery and
@@ -429,20 +427,13 @@ class Hypervisor {
   std::function<void(hw::CpuId)> nmi_hook_;
   OpObserver op_observer_;
 
-  // Observability. Span names used on hot paths (one per hypercall code,
-  // plus the scheduler and the timer softirq) are pre-interned so opening a
-  // span never builds a string.
-  // The RecorderScope installs this host's flight recorder as the
-  // thread-local current one for the lifetime of the Hypervisor (runs are
-  // single-threaded; campaigns use one Hypervisor per worker thread).
-  sim::Tracer tracer_;
+  // Observability. The RecorderScope installs this host's flight recorder
+  // as the thread-local current one for the lifetime of the Hypervisor
+  // (runs are single-threaded; campaigns use one Hypervisor per worker
+  // thread).
   forensics::FlightRecorder recorder_;
   forensics::RecorderScope recorder_scope_{&recorder_};
   HvStats stats_;
-  std::array<sim::NameId, kNumHypercalls> span_hypercall_{};
-  sim::NameId span_schedule_ = 0;
-  sim::NameId span_timer_softirq_ = 0;
-  friend class CtxSpan;
 
   bool booted_ = false;
   bool frozen_ = false;

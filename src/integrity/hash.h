@@ -63,12 +63,4 @@ class StateHasher {
   std::uint64_t h_ = kHashSeed;
 };
 
-// Order-dependent two-value combiner used to chain ladder rungs.
-inline std::uint64_t MixPair(std::uint64_t a, std::uint64_t b) {
-  StateHasher h;
-  h.Mix(a);
-  h.Mix(b);
-  return h.value();
-}
-
 }  // namespace nlh::integrity

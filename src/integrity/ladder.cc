@@ -156,8 +156,6 @@ LadderSnapshot ComputeLadder(hv::Hypervisor& hv) {
       HashGrantTables(hv);
   snap.surface[static_cast<std::size_t>(Surface::kPerCpu)] = HashPerCpu(hv);
   snap.surface[static_cast<std::size_t>(Surface::kStatics)] = HashStatics(hv);
-  snap.root = kHashSeed;
-  for (std::uint64_t s : snap.surface) snap.root = MixPair(snap.root, s);
   return snap;
 }
 

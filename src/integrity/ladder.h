@@ -1,6 +1,7 @@
 // The epoch integrity ladder: one deterministic 64-bit hash per integrity
 // surface (integrity/surface.h), computed from the live hypervisor
-// structures, plus a root hash chaining the nine rungs in surface order.
+// structures. The epoch monitor compares each rung with its own previous
+// value, so no root hash chains the rungs.
 //
 // The ladder hashes exactly the state the StateAuditor sweeps and the
 // recovery mechanisms repair; bookkeeping that legitimately churns without
@@ -33,12 +34,7 @@ class Hypervisor;
 namespace nlh::integrity {
 
 struct LadderSnapshot {
-  std::array<std::uint64_t, kNumSurfaces> surface{};
-  std::uint64_t root = 0;  // chained over surfaces in enum order
-
-  std::uint64_t at(Surface s) const {
-    return surface[static_cast<std::size_t>(s)];
-  }
+  std::array<std::uint64_t, kNumSurfaces> surface{};  // by Surface index
 };
 
 // Computes the full nine-rung snapshot from the live structures. Pure

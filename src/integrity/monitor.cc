@@ -8,17 +8,9 @@ namespace {
 // Cap on retained drift events per run: enough for every golden and for
 // campaign aggregation (counts and the trail keep accumulating past it).
 constexpr std::size_t kMaxRetainedDrifts = 256;
-
-// Trace instant names, interned once at construction so the per-epoch hot
-// path emits by NameId and never builds a string.
-constexpr const char kSpanIntegrityEpoch[] = "integrity:epoch";
-constexpr const char kSpanIntegrityDrift[] = "integrity:drift";
 }  // namespace
 
-EpochMonitor::EpochMonitor(hv::Hypervisor& hv)
-    : hv_(hv),
-      span_epoch_(hv.tracer().InternName(kSpanIntegrityEpoch)),
-      span_drift_(hv.tracer().InternName(kSpanIntegrityDrift)) {}
+EpochMonitor::EpochMonitor(hv::Hypervisor& hv) : hv_(hv) {}
 
 void EpochMonitor::Start() {
   if (started_) return;
@@ -50,8 +42,8 @@ void EpochMonitor::Tick() {
   ++epoch_;
   const sim::Time now = hv_.Now();
   const LadderSnapshot snap = ComputeLadder(hv_);
-  last_root_ = snap.root;
-  hv_.tracer().Instant(span_epoch_, 0, now);
+  forensics::FlightRecorder& recorder = hv_.flight_recorder();
+  recorder.Record(forensics::EventKind::kIntegrityEpoch, -1, epoch_);
   const auto& counts = hv_.integrity_ledger().counts();
   if (!have_baseline_ || hv_.stats().recoveries != base_recoveries_) {
     // First epoch, or a recovery completed since the last one: recovery
@@ -86,7 +78,11 @@ void EpochMonitor::Tick() {
       t.Mix(ev.hash_after);
       drift_trail_ = t.value();
     }
-    hv_.tracer().Instant(span_drift_, 0, now);
+    if (recorder.enabled()) {
+      recorder.Record(forensics::EventKind::kIntegrityDrift, -1, ev.epoch,
+                      static_cast<std::uint64_t>(ev.surface),
+                      SubsystemName(ev.surface));
+    }
     if (drifts_.size() < kMaxRetainedDrifts) drifts_.push_back(ev);
     if (on_drift_) on_drift_(ev);
     if (hv_.dead() || hv_.frozen()) {

@@ -34,7 +34,6 @@
 #include "integrity/ladder.h"
 #include "integrity/surface.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace nlh::integrity {
 
@@ -69,8 +68,6 @@ class EpochMonitor {
   // FNV fingerprint of the (epoch, surface, hash_after) drift sequence:
   // the differential oracle compares trails across mechanism variants.
   std::uint64_t drift_trail() const { return drift_trail_; }
-  // Root hash of the most recent epoch (the top of the ladder).
-  std::uint64_t last_root_hash() const { return last_root_; }
   const std::array<std::uint64_t, kNumSurfaces>& drift_per_surface() const {
     return drift_per_surface_;
   }
@@ -91,7 +88,6 @@ class EpochMonitor {
     v(first_drift_at_);
     v(first_drift_surface_);
     v(drift_trail_);
-    v(last_root_);
     v(drift_per_surface_);
     v(drifts_);
   }
@@ -102,8 +98,6 @@ class EpochMonitor {
 
   hv::Hypervisor& hv_;
   DriftHandler on_drift_;
-  sim::NameId span_epoch_ = 0;
-  sim::NameId span_drift_ = 0;
 
   bool started_ = false;
   std::uint64_t epoch_ = 0;
@@ -116,7 +110,6 @@ class EpochMonitor {
   sim::Time first_drift_at_ = 0;
   Surface first_drift_surface_ = Surface::kFrameTable;
   std::uint64_t drift_trail_ = kHashSeed;
-  std::uint64_t last_root_ = 0;
   std::array<std::uint64_t, kNumSurfaces> drift_per_surface_{};
   std::vector<DriftEvent> drifts_;
 };

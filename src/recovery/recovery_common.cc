@@ -41,9 +41,17 @@ RecoveryReport RecoveryMechanism::Recover(const hv::DetectionEvent& event) {
   report.detected_at = hv_.Now();
   report.kind = event.kind;
 
-  sim::Tracer& tracer = hv_.tracer();
-  const std::uint32_t root =
-      tracer.Begin("recover:" + Name(), event.cpu, report.detected_at);
+  // The root span [detected_at, resumed_at]; its steps record inside it.
+  forensics::FlightRecorder& recorder = hv_.flight_recorder();
+  const std::uint64_t root = recorder.OpenSpan();
+  const auto close_root = [&](sim::Duration length) {
+    if (root == 0) return;  // recording off
+    recorder.CloseSpan(root, {.at = report.detected_at,
+                              .dur = length,
+                              .kind = forensics::EventKind::kRecovery,
+                              .cpu = event.cpu,
+                              .detail = Name()});
+  };
   steps::StepRecorder rec(hv_, report, event.cpu);
 
   // The recovery routine itself depends on hypervisor state (IDT entries,
@@ -54,7 +62,7 @@ RecoveryReport RecoveryMechanism::Recover(const hv::DetectionEvent& event) {
     report.give_up_code = hv::FailureReason::kRecoveryPathCorrupted;
     report.give_up_reason = "recovery routine could not be invoked";
     hv_.MarkDead(report.give_up_code, report.give_up_reason);
-    tracer.End(root, report.detected_at);
+    close_root(0);
     return report;
   }
 
@@ -67,7 +75,7 @@ RecoveryReport RecoveryMechanism::Recover(const hv::DetectionEvent& event) {
 
   // Resume at detection + total latency.
   report.resumed_at = report.detected_at + report.total();
-  tracer.End(root, report.resumed_at);
+  close_root(report.total());
   hv_.ResumeAfterRecovery(report.resumed_at, reprogram_apics);
   hv_.platform().queue().ScheduleAt(report.resumed_at, [this, running] {
     steps::NotifyGuestsAfterResume(hv_, running);

@@ -161,21 +161,23 @@ RetrySetupStats SetupRequestRetries(hv::Hypervisor& hv,
 void NotifyGuestsAfterResume(hv::Hypervisor& hv,
                              const std::vector<hv::VcpuId>& was_running);
 
-// Shared step recorder: appends the step to the report, mirrors it as a
-// trace span ([cursor, cursor+latency], child of the innermost open span)
-// and a flight-recorder event, and advances the cursor.
+// Shared step recorder: appends the step to the report, records it as one
+// pinned recovery_phase span ([cursor, cursor+latency], inside the
+// innermost open span: the recovery root), and advances the cursor.
 class StepRecorder {
  public:
   StepRecorder(hv::Hypervisor& hv, RecoveryReport& report, hw::CpuId cpu)
       : hv_(hv), report_(report), cpu_(cpu), cursor_(report.detected_at) {}
 
   void Add(RecoveryPhase phase, std::string name, sim::Duration latency) {
-    const char* slug = RecoveryPhaseName(phase);
-    hv_.tracer().Span(std::string("phase:") + slug, cpu_, cursor_,
-                      cursor_ + latency);
-    NLH_RECORD(forensics::EventKind::kRecoveryPhase, cpu_,
-               static_cast<std::uint64_t>(phase),
-               static_cast<std::uint64_t>(latency), std::string(slug));
+    forensics::FlightRecorder& recorder = hv_.flight_recorder();
+    if (recorder.enabled()) {
+      recorder.Record({.at = cursor_,
+                       .dur = latency,
+                       .kind = forensics::EventKind::kRecoveryPhase,
+                       .cpu = cpu_,
+                       .detail = RecoveryPhaseName(phase)});
+    }
     report_.steps.push_back({phase, std::move(name), latency});
     cursor_ += latency;
   }

@@ -103,11 +103,11 @@ inline std::vector<Mangled> MangledFields(
 }
 
 // The values of a reproducer bundle that fuzz::LoadReproducer reads: the
-// schema, the divergence kind, the whole scenario and each expected
-// verdict's mechanism.
+// schema, the divergence kind, the whole scenario and every value of each
+// expected verdict.
 inline bool ReadByReproducerLoader(const std::string& path) {
   static const std::regex read(R"(\.(schema|divergence(\.kind)?|scenario.*)"
-                               R"(|expected(\[\d+\](\.mechanism)?)?))");
+                               R"(|expected(\[\d+\].*)?))");
   return std::regex_match(path, read);
 }
 

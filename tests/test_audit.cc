@@ -61,15 +61,21 @@ TEST_F(AuditTest, HealthyPlatformClean) {
   EXPECT_GT(r.modeled_cost, 0);
 }
 
-TEST_F(AuditTest, EverySweepEmitsOneTraceSpan) {
-  hv_.tracer().Enable();
-  Sweep();
+TEST_F(AuditTest, EverySweepRecordsOneSpan) {
+  hv_.flight_recorder().Enable(hv_.platform().num_cpus());
+  const audit::AuditReport r = Sweep();
   Sweep();
   int sweeps = 0;
-  for (const sim::TraceEvent& ev : hv_.tracer().Snapshot()) {
-    sweeps += ev.name == "audit:sweep" ? 1 : 0;
+  int passes = 0;
+  for (const forensics::FlightEvent& ev : hv_.flight_recorder().Retained()) {
+    if (ev.kind == forensics::EventKind::kAuditSweep) {
+      ++sweeps;
+      EXPECT_EQ(ev.dur, r.modeled_cost);
+    }
+    passes += ev.kind == forensics::EventKind::kAuditPass ? 1 : 0;
   }
   EXPECT_EQ(sweeps, 2);
+  EXPECT_GE(passes, 2 * integrity::kNumSurfaces);
 }
 
 // --- Frame table ------------------------------------------------------------

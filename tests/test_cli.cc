@@ -492,6 +492,38 @@ TEST(CampaignToolCli, ReplayRejectsTruncatedAndRetypedBundles) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignToolCli, MangledExpectedVerdictsExitTwoNamingTheFile) {
+  // The loader used to check only each verdict's mechanism: --replay=FILE
+  // replayed these with exit 0, and --corpus=DIR reported a MISMATCH.
+  const std::string text =
+      ReadFile(std::string(NLH_CORPUS_DIR) + "/repro_06605030e73f5fbf.json");
+  // The bundle with the value of `key` in expected[verdict] replaced.
+  const auto edit = [&text](int verdict, const std::string& key,
+                            const std::string& value) {
+    std::size_t at = text.find("\"expected\":[");
+    for (int i = 0; i <= verdict; ++i) at = text.find("\"" + key + "\":", at);
+    const std::size_t from = at + key.size() + 3;
+    return text.substr(0, from) + value +
+           text.substr(text.find_first_of(",}", from));
+  };
+  for (const std::string& mangled :
+       {edit(0, "outcome", "7"), edit(1, "detected", "\"yes\",\"bogus\":1")}) {
+    const std::string dir = ::testing::TempDir() + "mangled_verdict_corpus";
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/repro_mangled.json";
+    ASSERT_TRUE(nlh::malformed::WriteText(path, mangled));
+    const CliResult replay = RunTool("--replay=" + path);
+    const CliResult corpus = RunTool("--corpus=" + dir);
+    std::filesystem::remove_all(dir);
+    for (const CliResult& r : {replay, corpus}) {
+      EXPECT_EQ(r.exit_code, 2) << r.output;
+      EXPECT_NE(r.output.find("malformed expected verdict: " + path),
+                std::string::npos)
+          << r.output;
+    }
+  }
+}
+
 TEST(CampaignToolCli, ReplayJudgesAReproducerUnderTheRecordedPolicies) {
   // A bundle fuzzed with --fuzz-all-mechs records four verdicts; its
   // replay used to judge the default three and print no SnapRes line.
@@ -548,6 +580,81 @@ TEST(CampaignToolCli, ReplayPrintsNarrativeAndWritesTheCampaignsDossier) {
   // The narrative's detection line: time, slug, cpu.
   EXPECT_NE(replay.output.find(" ms] detection "), std::string::npos)
       << replay.output;
+}
+
+// NiLiHype's steps in a 3AppVM failstop recovery, in order.
+const std::vector<std::string> kNiLiHypePhases = {
+    "freeze",           "discard_threads",       "clear_irq_count",
+    "release_locks",    "sched_metadata_repair", "retry_setup",
+    "frame_table_scan", "reactivate_timers",     "ack_interrupts",
+    "reprogram_apic",   "resume"};
+
+// The Chrome trace holds run 1000's recovery: the detection, the
+// recovery:NiLiHype root and its 11 phase spans, in order, contiguous,
+// inside the root and summing to its 21.791 ms.
+void ExpectRecoveryInTrace(const std::string& trace_json) {
+  nlh::sim::JsonValue trace;
+  ASSERT_TRUE(nlh::sim::ParseJson(trace_json, &trace));
+  const nlh::sim::JsonValue* root = nullptr;
+  std::vector<const nlh::sim::JsonValue*> phases;
+  int detections = 0;
+  for (const nlh::sim::JsonValue& ev : trace.Find("traceEvents")->items) {
+    const std::string& name = ev.Find("name")->str;
+    if (name == "recovery:NiLiHype") root = &ev;
+    if (name.rfind("recovery_phase:", 0) == 0) phases.push_back(&ev);
+    detections += name.rfind("detection:", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(detections, 1);
+  ASSERT_NE(root, nullptr);
+  ASSERT_EQ(phases.size(), kNiLiHypePhases.size());
+  const double root_seq = root->Find("args")->Find("seq")->number;
+  double cursor = root->Find("ts")->number;
+  double sum = 0;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(phases[i]->Find("name")->str,
+              "recovery_phase:" + kNiLiHypePhases[i]);
+    EXPECT_EQ(phases[i]->Find("args")->Find("parent")->number, root_seq);
+    EXPECT_NEAR(phases[i]->Find("ts")->number, cursor, 0.002);
+    cursor = phases[i]->Find("ts")->number + phases[i]->Find("dur")->number;
+    sum += phases[i]->Find("dur")->number;
+  }
+  EXPECT_NEAR(sum, 21791.0, 0.5);  // microseconds
+  EXPECT_NEAR(root->Find("dur")->number, sum, 0.01);
+}
+
+TEST(CampaignToolCli, ReplayDossierAndProfileHoldTheRecovery) {
+  // The dossier's trace used to be the newest 4096 spans, which started
+  // seconds after this run's recovery and held none of it.
+  const std::string dir = ::testing::TempDir() + "replay_recovery_dossier";
+  const std::string profile = ::testing::TempDir() + "replay_recovery.txt";
+  const CliResult r = RunTool("--replay=1000 --dossier-dir=" + dir +
+                              " --profile-out=" + profile);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string dossier = ReadFile(dir + "/run_1000.json");
+  const std::string folded = ReadFile(profile);
+  std::filesystem::remove_all(dir);
+  std::remove(profile.c_str());
+  nlh::sim::JsonValue doc;
+  ASSERT_TRUE(nlh::sim::ParseJson(dossier, &doc));
+  ExpectRecoveryInTrace(nlh::sim::WriteJson(*doc.Find("trace")));
+  // One profile line per phase, under the recovery frame.
+  for (const std::string& phase : kNiLiHypePhases) {
+    const std::string frame =
+        "\nrecovery:NiLiHype;recovery_phase:" + phase + " ";
+    EXPECT_NE(("\n" + folded).find(frame), std::string::npos)
+        << phase << "\n" << folded;
+  }
+}
+
+TEST(CampaignToolCli, CampaignTraceOutHoldsTheRecovery) {
+  // seed0's trace used to hold 65,536 hot-path spans and no recovery.
+  const std::string trace = ::testing::TempDir() + "campaign_recovery.json";
+  const CliResult r =
+      RunTool("--runs=1 --threads=1 --trace-out=" + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string json = ReadFile(trace);
+  std::remove(trace.c_str());
+  ExpectRecoveryInTrace(json);
 }
 
 // `"name":{...}` of a histogram whose samples all equal `v`.

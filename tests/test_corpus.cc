@@ -38,12 +38,9 @@ TEST(CorpusShipment, SpansAtLeastFourAuditSubsystems) {
     fuzz::LoadedReproducer rep;
     std::string err;
     ASSERT_TRUE(fuzz::LoadReproducer(path, &rep, &err)) << err;
-    for (const std::string& v : rep.expected_verdicts) {
-      sim::JsonValue doc;
-      ASSERT_TRUE(sim::ParseJson(v, &doc));
-      const sim::JsonValue* subs = doc.Find("latent_subsystems");
-      ASSERT_NE(subs, nullptr);
-      for (const sim::JsonValue& s : subs->items) subsystems.insert(s.str);
+    for (const fuzz::PolicyVerdict& v : rep.expected) {
+      subsystems.insert(v.latent_subsystems.begin(),
+                        v.latent_subsystems.end());
     }
   }
   EXPECT_GE(subsystems.size(), 4u)
@@ -132,12 +129,9 @@ TEST(CorpusRegression, EveryReproducerReplaysByteForByte) {
         fuzz::EvaluateScenario(rep.scenario, 3, rep.policies);
     EXPECT_EQ(fuzz::DivergenceKindName(o.divergence),
               fuzz::DivergenceKindName(rep.divergence));
-    ASSERT_EQ(o.verdicts.size(), rep.expected_verdicts.size());
+    ASSERT_EQ(o.verdicts.size(), rep.expected.size());
     for (std::size_t i = 0; i < o.verdicts.size(); ++i) {
-      sim::JsonValue doc;
-      const std::string recomputed = o.verdicts[i].ToJson();
-      ASSERT_TRUE(sim::ParseJson(recomputed, &doc));
-      EXPECT_EQ(sim::WriteJson(doc), rep.expected_verdicts[i])
+      EXPECT_EQ(o.verdicts[i].ToJson(), rep.expected[i].ToJson())
           << "verdict drift for "
           << core::MechanismName(rep.policies[i]);
     }

@@ -16,9 +16,10 @@
 #include "forensics/profiler.h"
 #include "forensics/record.h"
 #include "hv/hypervisor.h"
+#include "hv/panic.h"
+#include "inject/injector.h"
 #include "sim/json.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
 
 using namespace nlh;
 
@@ -58,7 +59,7 @@ TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
   forensics::FlightRecorder rec;
   rec.Enable(1, 4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    rec.Record(forensics::EventKind::kSchedule, 0, i);
+    rec.Record(forensics::EventKind::kIrqRaise, 0, i);
   }
   const auto events = rec.SnapshotCpu(0);
   ASSERT_EQ(events.size(), 4u);
@@ -80,7 +81,7 @@ TEST(FlightRecorder, DetectionSnapshotFirstCaptureSticks) {
 TEST(FlightRecorder, ToJsonParsesAndCarriesStructure) {
   forensics::FlightRecorder rec;
   rec.Enable(2, 4);
-  rec.Record(forensics::EventKind::kHypercallEnter, 0, 3, 0, "mmu_update");
+  rec.Record(forensics::EventKind::kSyscallForward, 0, 3, 0, "mmap");
   rec.Record(forensics::EventKind::kDetection, -1, 1, 2, "watchdog");
   rec.SetDetectionSnapshot("{\"regs\":{}}");
 
@@ -95,8 +96,8 @@ TEST(FlightRecorder, ToJsonParsesAndCarriesStructure) {
   ASSERT_TRUE(doc.Find("per_cpu")->IsArray());
   EXPECT_EQ(doc.Find("per_cpu")->items.size(), 2u);
   const sim::JsonValue& ev = doc.Find("per_cpu")->items[0].items.at(0);
-  EXPECT_EQ(ev.Find("kind")->str, "hypercall_enter");
-  EXPECT_EQ(ev.Find("detail")->str, "mmu_update");
+  EXPECT_EQ(ev.Find("kind")->str, "syscall_forward");
+  EXPECT_EQ(ev.Find("detail")->str, "mmap");
   ASSERT_EQ(doc.Find("global")->items.size(), 1u);
   EXPECT_EQ(doc.Find("global")->items[0].Find("kind")->str, "detection");
 }
@@ -158,10 +159,77 @@ TEST(FlightRecorderWeave, HypercallAndScheduleEventsAppear) {
       kinds.insert(ev.kind);
     }
   }
-  EXPECT_TRUE(kinds.count(forensics::EventKind::kHypercallEnter));
-  EXPECT_TRUE(kinds.count(forensics::EventKind::kHypercallExit));
+  EXPECT_TRUE(kinds.count(forensics::EventKind::kHypercall));
   EXPECT_TRUE(kinds.count(forensics::EventKind::kLockAcquire));
   EXPECT_TRUE(kinds.count(forensics::EventKind::kLockRelease));
+
+  // One event per hypercall: its code, vCPU and return value, and the locks
+  // it took inside it.
+  std::vector<forensics::FlightEvent> calls;
+  for (const forensics::FlightEvent& ev : hv.flight_recorder().Retained()) {
+    if (ev.kind == forensics::EventKind::kHypercall) calls.push_back(ev);
+  }
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(forensics::EventName(calls[0]), "hypercall:mmu_update");
+  EXPECT_EQ(calls[0].arg0,
+            static_cast<std::uint64_t>(hv::HypercallCode::kMmuUpdate));
+  EXPECT_EQ(calls[0].arg1, static_cast<std::uint64_t>(vcpu));
+  EXPECT_FALSE(calls[0].abandoned);
+  EXPECT_GT(calls[0].dur, 0);
+  int locks_inside = 0;
+  for (const forensics::FlightEvent& ev : hv.flight_recorder().Retained()) {
+    locks_inside += ev.kind == forensics::EventKind::kLockAcquire &&
+                    ev.parent == calls[0].seq;
+  }
+  EXPECT_GT(locks_inside, 0);
+}
+
+// A failstop that fires inside a hypercall unwinds it; the hypercall still
+// shows in the trace, as one span marked abandoned.
+TEST(FlightRecorderWeave, FaultInsideHypercallLeavesAbandonedSpan) {
+  hw::PlatformConfig pcfg;
+  pcfg.num_cpus = 2;
+  pcfg.memory_gib = 1;
+  hw::Platform platform(pcfg, 1);
+  hv::Hypervisor hv(platform, hv::HvConfig{});
+  hv.Boot();
+  const hv::DomainId dom = hv.CreateDomainDirect("d", false, 1, 32);
+  hv.StartDomain(dom);
+  const hv::VcpuId vcpu = hv.FindDomain(dom)->vcpus.front();
+  hv.flight_recorder().Enable(platform.num_cpus());
+
+  // A failstop armed on the next hypercall, firing at its first step.
+  inject::FaultInjector inj(hv, {}, 7);
+  inject::InjectionPlan plan;
+  plan.type = inject::FaultType::kFailstop;
+  plan.first_trigger = sim::Milliseconds(1);
+  plan.second_trigger_instructions = 0;
+  plan.trigger.kind = inject::TriggerKind::kAnyHypercall;
+  inj.Arm(plan);
+  platform.queue().RunUntil(plan.first_trigger);
+  hv::HypercallArgs args;
+  args.arg0 = 5;
+  args.arg1 = 1;
+  EXPECT_THROW(hv.Hypercall(vcpu, hv::HypercallCode::kMmuUpdate, args),
+               hv::HvPanic);
+  ASSERT_TRUE(inj.record().fired);
+
+  sim::JsonValue trace;
+  ASSERT_TRUE(sim::ParseJson(hv.flight_recorder().ToChromeJson(), &trace));
+  int abandoned = 0;
+  for (const sim::JsonValue& ev : trace.Find("traceEvents")->items) {
+    if (ev.Find("name")->str != "hypercall:mmu_update") continue;
+    EXPECT_TRUE(ev.Find("args")->Find("abandoned")->boolean);
+    abandoned += 1;
+  }
+  EXPECT_EQ(abandoned, 1);
+  // The next hypercall completes normally and is not marked.
+  hv.Hypercall(vcpu, hv::HypercallCode::kXenVersion, {});
+  const forensics::FlightEvent last =
+      hv.flight_recorder().SnapshotCpu(1).back();
+  ASSERT_EQ(last.kind, forensics::EventKind::kHypercall);
+  EXPECT_FALSE(last.abandoned);
+  EXPECT_EQ(last.parent, 0u);  // the abandoned span left nothing open
 }
 
 TEST(FlightRecorderWeave, DetectedRunCapturesInjectionAndDetection) {
@@ -308,13 +376,16 @@ TEST(JsonParser, RejectsMalformedDocuments) {
 
 TEST(JsonParser, RoundTripsEmittedArtifacts) {
   // Chrome trace JSON.
-  sim::Tracer tracer;
-  tracer.Enable(16);
-  const auto id = tracer.Begin("outer", 0, 100);
-  tracer.Span("inner \"quoted\"", 0, 110, 150);
-  tracer.End(id, 200);
+  forensics::FlightRecorder rec;
+  rec.Enable(1, 16);
+  const std::uint64_t id = rec.OpenSpan();
+  rec.Record({.at = 110, .dur = 40, .kind = forensics::EventKind::kAuditPass,
+              .cpu = 0, .detail = "inner \"quoted\""});
+  rec.CloseSpan(id, {.at = 100, .dur = 100,
+                     .kind = forensics::EventKind::kAuditSweep, .cpu = 0,
+                     .detail = {}});
   sim::JsonValue v;
-  ASSERT_TRUE(sim::ParseJson(tracer.ToChromeJson(), &v));
+  ASSERT_TRUE(sim::ParseJson(rec.ToChromeJson(), &v));
   EXPECT_EQ(v.Find("traceEvents")->items.size(), 2u);
 
   // --metrics-out JSON of one recovered run.
@@ -387,46 +458,37 @@ TEST(Correlator, ClassifiesAgainstGroundTruth) {
 
 // --- Profiler ---------------------------------------------------------------
 
+forensics::FlightEvent ProfiledSpan(std::uint64_t seq, std::uint64_t parent,
+                                    sim::Time start, sim::Duration dur,
+                                    const std::string& detail) {
+  return {.seq = seq, .parent = parent, .at = start, .dur = dur,
+          .kind = forensics::EventKind::kAuditPass, .detail = detail};
+}
+
 TEST(Profiler, CollapsesSpansWithSelfTimeWeights) {
-  std::vector<sim::TraceEvent> spans;
-  auto add = [&](std::uint32_t id, std::uint32_t parent, sim::Time s,
-                 sim::Time e, const std::string& name) {
-    sim::TraceEvent ev;
-    ev.id = id;
-    ev.parent = parent;
-    ev.start = s;
-    ev.end = e;
-    ev.name = name;
-    spans.push_back(ev);
+  const std::vector<forensics::FlightEvent> spans = {
+      ProfiledSpan(1, 0, 0, 100, "root"),
+      ProfiledSpan(2, 1, 10, 20, "child a"),  // space sanitized to '_'
+      ProfiledSpan(3, 1, 40, 10, "child;b"),  // ';' sanitized (separator)
   };
-  add(1, 0, 0, 100, "root");
-  add(2, 1, 10, 30, "child a");   // space sanitized to '_'
-  add(3, 1, 40, 50, "child;b");   // ';' sanitized (frame separator)
   // Self times: root = 100 - (20 + 10) = 70.
   EXPECT_EQ(forensics::CollapsedStackProfile(spans),
-            "root 70\n"
-            "root;child_a 20\n"
-            "root;child_b 10\n");
+            "audit_pass:root 70\n"
+            "audit_pass:root;audit_pass:child_a 20\n"
+            "audit_pass:root;audit_pass:child_b 10\n");
   EXPECT_EQ(forensics::CollapsedStackProfile({}), "");
 }
 
 TEST(Profiler, OrphanParentsAndZeroSelfTimeSpans) {
-  std::vector<sim::TraceEvent> spans;
-  sim::TraceEvent a;
-  a.id = 5;
-  a.parent = 99;  // parent not in snapshot: treated as a root
-  a.start = 0;
-  a.end = 10;
-  a.name = "lonely";
-  spans.push_back(a);
-  sim::TraceEvent b = a;
-  b.id = 6;
-  b.parent = 5;
-  b.start = 0;
-  b.end = 10;  // covers all of a: a's self time becomes 0 and is dropped
-  b.name = "cover";
-  spans.push_back(b);
-  EXPECT_EQ(forensics::CollapsedStackProfile(spans), "lonely;cover 10\n");
+  const std::vector<forensics::FlightEvent> spans = {
+      // Parent not retained: treated as a root.
+      ProfiledSpan(5, 99, 0, 10, "lonely"),
+      // Covers all of its parent: the parent's self time becomes 0 and is
+      // dropped.
+      ProfiledSpan(6, 5, 0, 10, "cover"),
+  };
+  EXPECT_EQ(forensics::CollapsedStackProfile(spans),
+            "audit_pass:lonely;audit_pass:cover 10\n");
 }
 
 // --- Dossiers + replay determinism -----------------------------------------

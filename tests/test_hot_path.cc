@@ -113,6 +113,24 @@ TEST(HotPathTest, ColdRunAllocatesUnderOnePerHundredHypercalls) {
       << allocations << " allocations over " << hypercalls << " hypercalls";
 }
 
+// Building a default target with recording off makes no allocation for
+// observability: the flight recorder allocates its rings only when enabled,
+// and nothing interns span names. (Interning 27 span names per hypervisor
+// cost about 114 of the 282 allocations a build used to make; it makes 168
+// without them.)
+TEST(HotPathTest, ColdBuildAllocatesNothingForObservability) {
+  core::RunConfig cfg;  // 8 CPUs, 3AppVM, NiLiHype, failstop
+  cfg.seed = 1000;
+  const std::uint64_t before = Allocations();
+  std::uint64_t allocations = 0;
+  {
+    core::TargetSystem sys(cfg);
+    allocations = Allocations() - before;
+    EXPECT_FALSE(sys.hv().flight_recorder().enabled());
+  }
+  EXPECT_LE(allocations, 170u) << allocations << " allocations in one build";
+}
+
 // --- Step hook lifetime -------------------------------------------------------
 
 TEST(HotPathTest, StepHookLiveOnlyFromTimeTriggerToFire) {

@@ -79,7 +79,9 @@ TEST_F(IntegrityTest, QuietEpochsNoDrift) {
   EXPECT_EQ(mon_.drift_count(), 0u);
   EXPECT_FALSE(mon_.has_drift());
   EXPECT_EQ(mon_.first_drift_epoch(), -1);
-  EXPECT_NE(mon_.last_root_hash(), 0u);
+  EXPECT_NE(integrity::ComputeLadder(hv_).surface[static_cast<std::size_t>(
+                integrity::Surface::kFrameTable)],
+            0u);
 }
 
 TEST_F(IntegrityTest, LegitimateMutationIsExplained) {
@@ -100,6 +102,23 @@ TEST_F(IntegrityTest, DriftFrameTable) {
     hv_.frames().mutable_desc(hv_.FindDomain(dom_)->first_frame).validated =
         true;
   });
+}
+
+TEST_F(IntegrityTest, EpochsAndDriftAreRecorderInstants) {
+  hv_.flight_recorder().Enable(platform_.num_cpus());
+  ExpectDriftOn(integrity::Surface::kHeap,
+                [&] { hv_.heap().CorruptAccounting(); });
+  std::vector<std::string> names;
+  for (const forensics::FlightEvent& ev : hv_.flight_recorder().Retained()) {
+    if (ev.kind == forensics::EventKind::kIntegrityEpoch ||
+        ev.kind == forensics::EventKind::kIntegrityDrift) {
+      names.push_back(forensics::EventName(ev));
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"integrity_epoch",
+                                             "integrity_epoch",
+                                             "integrity_drift:heap",
+                                             "integrity_epoch"}));
 }
 
 TEST_F(IntegrityTest, DriftHeap) {

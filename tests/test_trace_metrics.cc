@@ -1,65 +1,88 @@
-// Tests for the telemetry layer: sim/trace.h span nesting and simulated
-// time, the sim/metrics.h histogram, the recovery-path phase
+// Tests for the telemetry layer: flight-recorder spans (nesting, simulated
+// time, the ring), the sim/metrics.h histogram, the recovery-path phase
 // instrumentation, and the typed FailureReason plumbing through campaign
 // aggregation.
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"
 #include "core/target_system.h"
+#include "forensics/flight_recorder.h"
 #include "recovery/nilihype.h"
+#include "sim/json.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
 
 namespace nlh {
 namespace {
 
-// --- sim/trace.h -----------------------------------------------------------
+using forensics::EventKind;
+using forensics::FlightEvent;
 
-TEST(Tracer, SpansNestAndCarrySimulatedTime) {
-  sim::Tracer tr;
-  tr.Enable();
-  const std::uint32_t outer = tr.Begin("outer", 0, sim::Milliseconds(10));
-  const std::uint32_t inner = tr.Begin("inner", 1, sim::Milliseconds(12));
-  tr.Span("leaf", 1, sim::Milliseconds(13), sim::Milliseconds(14));
-  tr.End(inner, sim::Milliseconds(15));
-  tr.End(outer, sim::Milliseconds(20));
+// --- forensics::FlightRecorder spans ----------------------------------------
 
-  const std::vector<sim::TraceEvent> evs = tr.Snapshot();
+TEST(RecorderSpans, SpansNestAndCarrySimulatedTime) {
+  forensics::FlightRecorder rec;
+  rec.Enable(2);
+  const std::uint64_t outer = rec.OpenSpan();
+  const std::uint64_t inner = rec.OpenSpan();
+  rec.Record({.at = sim::Milliseconds(13),
+              .dur = sim::Milliseconds(1),
+              .kind = EventKind::kRecoveryPhase,
+              .cpu = 1,
+              .detail = "leaf"});
+  rec.CloseSpan(inner, {.at = sim::Milliseconds(12),
+                        .dur = sim::Milliseconds(3),
+                        .kind = EventKind::kRecovery,
+                        .cpu = 1,
+                        .detail = "inner"});
+  rec.CloseSpan(outer, {.at = sim::Milliseconds(10),
+                        .dur = sim::Milliseconds(10),
+                        .kind = EventKind::kAuditSweep,
+                        .cpu = 0,
+                        .detail = "outer"});
+
+  // Each span is one event; Retained() orders them by start.
+  const std::vector<FlightEvent> evs = rec.Retained();
   ASSERT_EQ(evs.size(), 3u);
-  // Snapshot is sorted by start: outer, inner, leaf.
-  EXPECT_EQ(evs[0].name, "outer");
-  EXPECT_EQ(evs[1].name, "inner");
-  EXPECT_EQ(evs[2].name, "leaf");
+  EXPECT_EQ(evs[0].detail, "outer");
+  EXPECT_EQ(evs[1].detail, "inner");
+  EXPECT_EQ(evs[2].detail, "leaf");
   EXPECT_EQ(evs[0].parent, 0u);
-  EXPECT_EQ(evs[1].parent, evs[0].id);
-  EXPECT_EQ(evs[2].parent, evs[1].id);
+  EXPECT_EQ(evs[1].parent, evs[0].seq);
+  EXPECT_EQ(evs[2].parent, evs[1].seq);
   // Times are the simulated instants handed in, not wall-clock.
-  EXPECT_EQ(evs[0].start, sim::Milliseconds(10));
-  EXPECT_EQ(evs[0].end, sim::Milliseconds(20));
-  EXPECT_EQ(evs[1].start, sim::Milliseconds(12));
-  EXPECT_EQ(evs[1].end, sim::Milliseconds(15));
-  EXPECT_EQ(evs[2].end - evs[2].start, sim::Milliseconds(1));
+  EXPECT_EQ(evs[0].at, sim::Milliseconds(10));
+  EXPECT_EQ(evs[0].dur, sim::Milliseconds(10));
+  EXPECT_EQ(evs[1].at, sim::Milliseconds(12));
+  EXPECT_EQ(evs[1].dur, sim::Milliseconds(3));
+  EXPECT_EQ(evs[2].dur, sim::Milliseconds(1));
+  EXPECT_FALSE(evs[0].abandoned);
+  EXPECT_EQ(forensics::EventName(evs[1]), "recovery:inner");
 }
 
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  sim::Tracer tr;  // never enabled
-  EXPECT_EQ(tr.Begin("a", 0, 0), 0u);
-  EXPECT_EQ(tr.Span("b", 0, 0, 100), 0u);
-  tr.End(1, 100);
-  EXPECT_EQ(tr.recorded(), 0u);
-  EXPECT_TRUE(tr.Snapshot().empty());
+TEST(RecorderSpans, DisabledRecorderRecordsNothing) {
+  forensics::FlightRecorder rec;  // never enabled
+  EXPECT_EQ(rec.OpenSpan(), 0u);
+  rec.Record({.at = 0, .dur = 100, .kind = EventKind::kRecoveryPhase,
+              .detail = "b"});
+  rec.CloseSpan(1, {.at = 0, .dur = 100, .kind = EventKind::kRecovery,
+                    .detail = "a"});
+  EXPECT_EQ(rec.recorded(), 0u);
+  EXPECT_TRUE(rec.Retained().empty());
 }
 
-TEST(Tracer, RingOverwritesOldestAndCountsDrops) {
-  sim::Tracer tr;
-  tr.Enable(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) tr.Span("s" + std::to_string(i), 0, i, i + 1);
-  EXPECT_EQ(tr.recorded(), 10u);
-  EXPECT_EQ(tr.dropped(), 6u);
-  const auto evs = tr.Snapshot();
+TEST(RecorderSpans, RingOverwritesOldestAndCountsDrops) {
+  forensics::FlightRecorder rec;
+  rec.Enable(1, /*per_cpu_capacity=*/4);
+  for (int i = 0; i < 10; ++i) {
+    rec.Record({.at = i, .dur = 1, .kind = EventKind::kTimerSoftirq, .cpu = 0,
+                .arg0 = static_cast<std::uint64_t>(i), .detail = {}});
+  }
+  EXPECT_EQ(rec.recorded(), 10u);
+  EXPECT_EQ(rec.dropped(), 6u);
+  const std::vector<FlightEvent> evs = rec.Retained();
   ASSERT_EQ(evs.size(), 4u);
-  EXPECT_EQ(evs.front().name, "s6");  // oldest survivor
-  EXPECT_EQ(evs.back().name, "s9");
+  EXPECT_EQ(evs.front().arg0, 6u);  // oldest survivor
+  EXPECT_EQ(evs.back().arg0, 9u);
 }
 
 // --- sim/metrics.h ---------------------------------------------------------
@@ -91,43 +114,43 @@ class TraceRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(TraceRecoveryTest, NiLiHypeEmitsFullPhaseSequence) {
-  hv_.tracer().Enable();
+  hv_.flight_recorder().Enable(platform_.num_cpus());
   recovery::NiLiHype mech(hv_, recovery::EnhancementSet::Full());
   const recovery::RecoveryReport rep =
       mech.Recover(1, hv::DetectionKind::kPanic);
   ASSERT_FALSE(rep.gave_up);
 
-  const auto evs = hv_.tracer().Snapshot();
-  const sim::TraceEvent* root = nullptr;
-  for (const auto& ev : evs) {
-    if (ev.name == "recover:NiLiHype") root = &ev;
+  const std::vector<FlightEvent> evs = hv_.flight_recorder().Retained();
+  const FlightEvent* root = nullptr;
+  for (const FlightEvent& ev : evs) {
+    if (forensics::EventName(ev) == "recovery:NiLiHype") root = &ev;
   }
   ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->start, rep.detected_at);
-  EXPECT_EQ(root->end, rep.resumed_at);
+  EXPECT_EQ(root->at, rep.detected_at);
+  EXPECT_EQ(root->at + root->dur, rep.resumed_at);
 
   // Phase spans: children of the root, contiguous, in mechanism order,
   // summing exactly to the report total.
-  std::vector<const sim::TraceEvent*> phases;
-  for (const auto& ev : evs) {
-    if (ev.name.rfind("phase:", 0) == 0) phases.push_back(&ev);
+  std::vector<const FlightEvent*> phases;
+  for (const FlightEvent& ev : evs) {
+    if (ev.kind == EventKind::kRecoveryPhase) phases.push_back(&ev);
   }
   const std::vector<std::string> want = {
-      "phase:freeze",          "phase:discard_threads",
-      "phase:clear_irq_count", "phase:release_locks",
-      "phase:sched_metadata_repair", "phase:retry_setup",
-      "phase:frame_table_scan", "phase:reactivate_timers",
-      "phase:ack_interrupts",  "phase:reprogram_apic",
-      "phase:resume"};
+      "freeze",          "discard_threads",
+      "clear_irq_count", "release_locks",
+      "sched_metadata_repair", "retry_setup",
+      "frame_table_scan", "reactivate_timers",
+      "ack_interrupts",  "reprogram_apic",
+      "resume"};
   ASSERT_EQ(phases.size(), want.size());
   sim::Time cursor = rep.detected_at;
   sim::Duration sum = 0;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(phases[i]->name, want[i]);
-    EXPECT_EQ(phases[i]->parent, root->id);
-    EXPECT_EQ(phases[i]->start, cursor);  // contiguous timeline
-    cursor = phases[i]->end;
-    sum += phases[i]->end - phases[i]->start;
+    EXPECT_EQ(phases[i]->detail, want[i]);
+    EXPECT_EQ(phases[i]->parent, root->seq);
+    EXPECT_EQ(phases[i]->at, cursor);  // contiguous timeline
+    cursor = phases[i]->at + phases[i]->dur;
+    sum += phases[i]->dur;
   }
   EXPECT_EQ(sum, rep.total());
   EXPECT_EQ(cursor, rep.resumed_at);
@@ -137,20 +160,47 @@ TEST_F(TraceRecoveryTest, NiLiHypeEmitsFullPhaseSequence) {
   ASSERT_EQ(rep.steps.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     const recovery::StepLatency& step = rep.steps[i];
-    EXPECT_EQ(std::string("phase:") + recovery::RecoveryPhaseName(step.phase),
-              want[i]);
-    EXPECT_EQ(step.latency, phases[i]->end - phases[i]->start);
+    EXPECT_EQ(recovery::RecoveryPhaseName(step.phase), want[i]);
+    EXPECT_EQ(step.latency, phases[i]->dur);
   }
 }
 
-TEST_F(TraceRecoveryTest, DisabledTracingAddsZeroSpans) {
-  // Tracing is off by default: a full recovery must not record anything.
+// One fact, one record: each of NiLiHype's 11 steps is recorded once, and
+// the Chrome export holds each once (no phase: span beside a phase event).
+TEST_F(TraceRecoveryTest, EachPhaseIsRecordedOnceAndExportedOnce) {
+  forensics::FlightRecorder& rec = hv_.flight_recorder();
+  rec.Enable(platform_.num_cpus());
   recovery::NiLiHype mech(hv_, recovery::EnhancementSet::Full());
   mech.Recover(1, hv::DetectionKind::kPanic);
   platform_.queue().RunUntil(platform_.Now() + sim::Seconds(1));
-  EXPECT_FALSE(hv_.tracer().enabled());
-  EXPECT_EQ(hv_.tracer().recorded(), 0u);
-  EXPECT_TRUE(hv_.tracer().Snapshot().empty());
+
+  int phase_events = 0;
+  for (const FlightEvent& ev : rec.Retained()) {
+    phase_events += ev.kind == EventKind::kRecoveryPhase ? 1 : 0;
+  }
+  EXPECT_EQ(phase_events, 11);
+
+  sim::JsonValue trace;
+  ASSERT_TRUE(sim::ParseJson(rec.ToChromeJson(), &trace));
+  int phase_spans = 0;
+  int roots = 0;
+  for (const sim::JsonValue& ev : trace.Find("traceEvents")->items) {
+    const std::string& name = ev.Find("name")->str;
+    phase_spans += name.rfind("recovery_phase:", 0) == 0 ? 1 : 0;
+    roots += name == "recovery:NiLiHype" ? 1 : 0;
+  }
+  EXPECT_EQ(phase_spans, 11);
+  EXPECT_EQ(roots, 1);
+}
+
+TEST_F(TraceRecoveryTest, RecorderOffRecordsNothing) {
+  // Recording is off by default: a full recovery must not record anything.
+  recovery::NiLiHype mech(hv_, recovery::EnhancementSet::Full());
+  mech.Recover(1, hv::DetectionKind::kPanic);
+  platform_.queue().RunUntil(platform_.Now() + sim::Seconds(1));
+  EXPECT_FALSE(hv_.flight_recorder().enabled());
+  EXPECT_EQ(hv_.flight_recorder().recorded(), 0u);
+  EXPECT_TRUE(hv_.flight_recorder().Retained().empty());
 }
 
 // --- typed failure reasons -------------------------------------------------
